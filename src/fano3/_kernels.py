@@ -1,109 +1,32 @@
-"""Lattice point counting kernels.
+"""Lattice point counting by a column scan on Python ints.
 
-Counting the lattice points of a dilated polytope is the one hot loop in the
-whole package.  The kernels scan the (x, y) range of the bounding box and,
-for each column, clip the z interval against the facet inequalities
-A @ p <= b with exact integer floor divisions, so the work is quadratic in
-the box size rather than cubic.  Three interchangeable backends exist:
-
-* ``numba``  - a column scan on int64 arrays, compiled with @njit when numba
-  imports (the default then) and run uncompiled by the interpreter when it
-  does not,
-* ``numpy``  - the same scan vectorised one x-slab at a time,
-* ``python`` - nested loops on Python ints, exact for any magnitude.
-
-Automatic dispatch picks ``numba`` only when numba really imports; set the
-environment variable ``FANO3_DISABLE_NUMBA=1`` to force the numpy path.  The
-uncompiled ``numba`` scan is never picked automatically; it exists so that
-forcing the backend runs, and tests, the kernel's logic on every machine.
-The int64 backends are guarded by an exact overflow bound computed in Python
-ints, and anything that could exceed int64 is routed to the python backend
-instead.  All backends agree exactly and the test suite checks them against
-each other and against brute-force scans.
+The scan walks the (x, y) range of the bounding box and, for each column,
+clips the z interval against the facet inequalities A @ p <= b with exact
+integer floor divisions, so the work is quadratic in the box size rather
+than cubic.  Python ints never overflow, so the count is exact for any
+coordinate magnitude.  Classification counts no points (its Hilbert
+coefficients come from the degree); this path serves ``lattice_points``
+and the checks built on it.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-try:  # pragma: no cover - absence is handled by the numpy path
-    from numba import njit
-except ImportError:  # pragma: no cover
-    njit = None
-
-_INT64_SAFE = 2**62
-
-
-def numba_enabled() -> bool:
-    return njit is not None and os.environ.get("FANO3_DISABLE_NUMBA", "") != "1"
-
 
 def default_backend() -> str:
-    return "numba" if numba_enabled() else "numpy"
+    """Name of the counting path, as reported by the benchmark."""
+    return "python"
 
 
-def _count_numba(normals, bounds, lo, hi):
-    # compiled by njit below when numba imports; otherwise interpreted, which
-    # is exact but far slower than the numpy scan
-    count = 0
-    nf = normals.shape[0]
-    for x in range(lo[0], hi[0] + 1):
-        for y in range(lo[1], hi[1] + 1):
-            zlo = lo[2]
-            zhi = hi[2]
-            feasible = True
-            for i in range(nf):
-                c = normals[i, 2]
-                rest = bounds[i] - normals[i, 0] * x - normals[i, 1] * y
-                if c == 0:
-                    if rest < 0:
-                        feasible = False
-                        break
-                elif c > 0:
-                    top = rest // c
-                    if top < zhi:
-                        zhi = top
-                else:
-                    bottom = -(rest // (-c))
-                    if bottom > zlo:
-                        zlo = bottom
-                if zlo > zhi:
-                    feasible = False
-                    break
-            if feasible and zlo <= zhi:
-                count += zhi - zlo + 1
-    return count
+def count_box_points(normals, bounds, lo, hi) -> int:
+    """Number of integer points p with lo <= p <= hi and normals @ p <= bounds.
 
-
-if njit is not None:
-    _count_numba = njit(cache=True)(_count_numba)
-
-
-def _count_numpy(normals, bounds, lo, hi) -> int:
-    ys = np.arange(lo[1], hi[1] + 1, dtype=np.int64)
-    count = 0
-    for x in range(lo[0], hi[0] + 1):
-        zlo = np.full(ys.shape, lo[2], dtype=np.int64)
-        zhi = np.full(ys.shape, hi[2], dtype=np.int64)
-        feasible = np.ones(ys.shape, dtype=bool)
-        for (a, b, c), bound in zip(normals, bounds):
-            rest = bound - a * x - b * ys
-            if c == 0:
-                feasible &= rest >= 0
-            elif c > 0:
-                np.minimum(zhi, rest // c, out=zhi)
-            else:
-                np.maximum(zlo, -(rest // (-c)), out=zlo)
-        widths = zhi - zlo + 1
-        widths[~feasible] = 0
-        np.maximum(widths, 0, out=widths)
-        count += int(widths.sum())
-    return count
-
-
-def _count_python(normals, bounds, lo, hi) -> int:
+    ``normals`` is a sequence of integer 3-vectors, ``bounds`` the matching
+    right-hand sides.  Exact for integers of any size.
+    """
+    normals = [tuple(int(c) for c in n) for n in normals]
+    bounds = [int(b) for b in bounds]
+    lo = tuple(int(c) for c in lo)
+    hi = tuple(int(c) for c in hi)
     count = 0
     for x in range(lo[0], hi[0] + 1):
         for y in range(lo[1], hi[1] + 1):
@@ -125,49 +48,6 @@ def _count_python(normals, bounds, lo, hi) -> int:
             if feasible and zlo <= zhi:
                 count += zhi - zlo + 1
     return count
-
-
-def _fits_int64(normals, bounds, lo, hi) -> bool:
-    # exact worst-case bound on |<n, p>| over the box, in Python ints
-    reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-    for n, b in zip(normals, bounds):
-        if abs(b) + sum(abs(c) * r for c, r in zip(n, reach)) >= _INT64_SAFE:
-            return False
-    return True
-
-
-def count_box_points(normals, bounds, lo, hi, backend: str | None = None) -> int:
-    """Number of integer points p with lo <= p <= hi and normals @ p <= bounds.
-
-    ``normals`` is a sequence of integer 3-vectors, ``bounds`` the matching
-    right-hand sides.  The backend is picked automatically unless forced:
-    ``numba`` when numba imports, else ``numpy``, and ``python`` whenever the
-    data could overflow int64.  Forcing ``backend="numba"`` without numba
-    runs the same scan uncompiled; automatic dispatch never picks that path.
-    """
-    normals = [tuple(int(c) for c in n) for n in normals]
-    bounds = [int(b) for b in bounds]
-    lo = tuple(int(c) for c in lo)
-    hi = tuple(int(c) for c in hi)
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0
-    if backend is None:
-        backend = default_backend()
-        if not _fits_int64(normals, bounds, lo, hi):
-            backend = "python"
-    if backend == "python":
-        return _count_python(normals, bounds, lo, hi)
-    if not _fits_int64(normals, bounds, lo, hi):
-        raise OverflowError("facet data exceeds the int64 range of this backend")
-    a = np.array(normals, dtype=np.int64)
-    b = np.array(bounds, dtype=np.int64)
-    lo_a = np.array(lo, dtype=np.int64)
-    hi_a = np.array(hi, dtype=np.int64)
-    if backend == "numba":
-        return int(_count_numba(a, b, lo_a, hi_a))
-    if backend == "numpy":
-        return _count_numpy(a, b, lo_a, hi_a)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def list_box_points(normals, bounds, lo, hi) -> list[tuple[int, int, int]]:

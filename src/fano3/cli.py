@@ -84,7 +84,13 @@ def _computed_lists(reports) -> dict[str, list[int]]:
     return {name: sorted(ids) for name, ids in out.items()}
 
 
+def _check_mmax(m_max: int) -> None:
+    if m_max < 0:
+        raise InputError(f"--mmax must be nonnegative, got {m_max}")
+
+
 def cmd_classify(args) -> int:
+    _check_mmax(args.mmax)
     records = _load_records(args.input, args.format, args.strict, args.sidecar)
     reports = _classify_all(records, args.jobs, args.mmax)
     db.write_reports(reports, args.out, format=args.report)
@@ -153,6 +159,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _check_mmax(args.mmax)
     records = _load_records(args.input, args.format, args.strict, args.sidecar)
     matches = [rec for rec in records if rec.id == args.id]
     if not matches:

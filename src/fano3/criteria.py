@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intlinalg import det3, dot, extends_to_basis, solve_height_one
-from .invariants import degree as _degree
+from .invariants import degree as _degree, hilbert_from_degree
 from .polygon import (
     AM_TRIANGLE,
     STANDARD_SQUARE,
@@ -27,7 +27,7 @@ from .polytope import (
     LatticePolytope,
     is_fano,
     is_reflexive,
-    lattice_points,
+    lattice_points,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     normalized_volume,
     polar,
 )
@@ -265,8 +265,12 @@ def classify(
     """Evaluate every criterion on a Fano polytope and bundle the verdicts.
 
     Reflexive-only criteria come back as None on a non-reflexive Fano
-    polytope.  The report is deterministic for a given input.
+    polytope.  The Hilbert coefficients h_0..h_{m_max} come from the degree
+    by the closed form of ``hilbert_from_degree``.  The report is
+    deterministic for a given input.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     if not is_fano(poly):
         raise ValueError("classification requires a Fano polytope")
     classes = tuple(facet_classes(poly))
@@ -286,7 +290,7 @@ def classify(
         aft_witnesses = tuple(criterion_aft(poly))
         dual = polar(poly)
         deg = normalized_volume(dual)
-        hilbert = tuple(lattice_points(dual, m) for m in range(m_max + 1))
+        hilbert = tuple(hilbert_from_degree(deg, m_max))
         return ClassificationReport(
             polytope_id=polytope_id,
             reflexive=True,

@@ -4,6 +4,11 @@ The degree is the normalized volume of the polar polytope, and the Hilbert
 coefficients are the lattice point counts of its dilations.  Both are
 constant in flat families of the associated varieties, which is what makes
 them useful alongside the classification verdicts.
+
+For a reflexive polytope the polar is reflexive too, so its Ehrhart
+h*-vector is (1, L - 4, L - 4, 1) with L its number of lattice points, and
+the counts follow from the degree d alone:
+h_m = d m (m + 1) (2 m + 1) / 12 + 2 m + 1.  No lattice points are counted.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from .polytope import (
     LatticePolytope,
     is_reflexive,
-    lattice_points,
     normalized_volume,
     polar,
 )
@@ -24,16 +28,25 @@ def degree(poly: LatticePolytope) -> int:
     return normalized_volume(polar(poly))
 
 
+def hilbert_from_degree(deg: int, m_max: int) -> list[int]:
+    """h_0..h_{m_max} of a reflexive polytope of degree ``deg``.
+
+    The degree equals 2 L - 6, so it is even and every term is an integer.
+    """
+    return [deg * m * (m + 1) * (2 * m + 1) // 12 + 2 * m + 1 for m in range(m_max + 1)]
+
+
 def hilbert_prefix(poly: LatticePolytope, m_max: int) -> list[int]:
     """Coefficients h_0..h_{m_max} of the Hilbert series.
 
-    h_m counts the lattice points of the m-th dilation of the polar
+    h_m is the number of lattice points of the m-th dilation of the polar
     polytope, which is the dimension of the space of global sections of the
-    m-th anticanonical power on the associated variety.
+    m-th anticanonical power on the associated variety.  It comes from the
+    degree through ``hilbert_from_degree``, so the cost does not depend on
+    the embedding.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     if not is_reflexive(poly):
         raise ValueError("hilbert coefficients require a reflexive polytope")
-    dual = polar(poly)
-    return [lattice_points(dual, m) for m in range(m_max + 1)]
+    return hilbert_from_degree(degree(poly), m_max)

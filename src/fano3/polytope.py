@@ -295,19 +295,12 @@ def normalized_volume(poly: LatticePolytope) -> int:
     return total
 
 
-def lattice_points(
-    poly: LatticePolytope,
-    dilation: int = 1,
-    interior: bool = False,
-    backend: str | None = None,
-) -> int:
+def lattice_points(poly: LatticePolytope, dilation: int = 1, interior: bool = False) -> int:
     """Exact number of lattice points of ``dilation * poly``.
 
-    Scans the bounding box against the facet inequalities; with ``interior``
-    the inequalities are strict.  ``backend`` forces a counting kernel
-    ("numba", "numpy" or "python") and is mainly for tests and benchmarks;
-    "numba" runs the same scan uncompiled when numba is missing, a path that
-    automatic dispatch never picks.
+    Scans the bounding box against the facet inequalities on Python ints;
+    with ``interior`` the inequalities are strict.  The cost grows with the
+    box, so it depends on how the polytope is embedded.
     """
     if dilation < 0:
         raise ValueError("dilation must be nonnegative")
@@ -319,7 +312,7 @@ def lattice_points(
     shift = 1 if interior else 0
     normals = [f.normal for f in poly.facets]
     bounds = [f.height * dilation - shift for f in poly.facets]
-    return count_box_points(normals, bounds, lo, hi, backend=backend)
+    return count_box_points(normals, bounds, lo, hi)
 
 
 def lattice_point_list(

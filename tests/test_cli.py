@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from conftest import (
     RIGID_FIXTURE,
     TETRAHEDRON,
 )
+import fano3
 from fano3.cli import main
 
 FIXTURE_DB = [
@@ -69,6 +74,14 @@ class TestClassifyCommand:
         bad.write_text("{{{")
         out = tmp_path / "report.json"
         assert main(["classify", str(bad), "--out", str(out)]) == 2
+
+    def test_negative_mmax_is_input_error(self, db_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["classify", str(db_path), "--out", str(out), "--mmax", "-1"]) == 2
+        assert not out.exists()
+        assert main(["inspect", str(db_path), "--id", "4", "--mmax", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --mmax must be nonnegative, got -1"] * 2
 
     def test_degenerate_record_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -161,3 +174,11 @@ class TestInspectCommand:
 
     def test_unknown_id(self, db_path):
         assert main(["inspect", str(db_path), "--id", "99"]) == 2
+
+
+def test_startup_imports_no_numpy():
+    # the CLI starts once per run, so a heavy import shows in every run
+    src = str(Path(fano3.__file__).resolve().parents[1])
+    code = "import sys, fano3.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,10 +1,7 @@
-import importlib.util
-
 import pytest
 
 import oracles
 from conftest import CUBE, NAMED_FANO, OCTAHEDRON, PYRAMID, TETRAHEDRON
-from fano3 import _kernels
 from fano3.intlinalg import cross, dot, vsub
 from fano3.polytope import (
     DegenerateInputError,
@@ -184,22 +181,19 @@ class TestLatticePoints:
         pts = NAMED_FANO[name]
         assert lattice_points(convex_hull(pts), m) == oracles.brute_count(pts, m)
 
-    @pytest.mark.parametrize("backend", ["numba", "numpy", "python"])
-    def test_backends_agree(self, backend):
+    def test_larger_dilations_against_brute_force(self):
         for pts in (PYRAMID, OCTAHEDRON, CUBE):
             poly = convex_hull(pts)
             for m in (1, 2, 5):
-                assert lattice_points(poly, m, backend=backend) == oracles.brute_count(pts, m)
+                assert lattice_points(poly, m) == oracles.brute_count(pts, m)
 
-    def test_default_backend_is_never_uncompiled_scan(self, monkeypatch):
-        # the interpreted numba scan is only for forced use; dispatch picks
-        # numpy whenever numba is disabled or not importable
-        monkeypatch.setenv("FANO3_DISABLE_NUMBA", "1")
-        assert _kernels.default_backend() == "numpy"
-        monkeypatch.delenv("FANO3_DISABLE_NUMBA")
-        if importlib.util.find_spec("numba") is None:
-            assert not _kernels.numba_enabled()
-            assert _kernels.default_backend() == "numpy"
+    def test_exact_beyond_int64(self):
+        shift = 2**70
+        cube = [(x + shift, y + shift, z + shift)
+                for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        poly = convex_hull(cube)
+        assert lattice_points(poly, 1) == 8
+        assert lattice_points(poly, 2) == 27
 
     def test_reflexive_interior_identity(self):
         # for a reflexive polytope the interior of m*P holds the points of (m-1)*P

@@ -1,7 +1,11 @@
 """Randomised property suites over a pool of generated reflexive polytopes."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
-from conftest import NAMED_FANO, apply_matrix, random_unimodular
+from conftest import NAMED_FANO, OCTAHEDRON, POOL_SIZE, apply_matrix, random_unimodular
 from fano3.criteria import classify
 from fano3.polygon import facet_to_polygon, maximal_decompositions
 from fano3.polytope import convex_hull, is_reflexive, lattice_points, polar
@@ -86,6 +90,35 @@ class TestPoolClassification:
         for pts in reflexive_pool[:50]:
             poly = convex_hull(pts)
             assert lattice_points(poly, 2, interior=True) == lattice_points(poly, 1)
+
+
+@st.composite
+def large_shears(draw):
+    """A GL(3, Z) matrix: up to three shears with factors up to 300, one sign flip."""
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(draw(st.integers(1, 3))):
+        src, dst, _ = draw(st.permutations(range(3)))
+        k = draw(st.integers(-300, 300))
+        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
+    flip = draw(st.integers(0, 2))
+    m[flip] = [-a for a in m[flip]]
+    return m
+
+
+class TestLargeShears:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(index=st.integers(0, len(NAMED_FANO) + POOL_SIZE - 1), u=large_shears())
+    def test_gl3_invariance_under_large_shears(self, reflexive_pool, index, u):
+        pts = (list(NAMED_FANO.values()) + reflexive_pool)[index]
+        base = report_signature(classify(convex_hull(pts)))
+        assert report_signature(classify(convex_hull(apply_matrix(u, pts)))) == base
+
+    @pytest.mark.parametrize("k", [30, 300])
+    def test_sheared_octahedron(self, k):
+        u = ((1, k, 0), (0, 1, k), (0, 0, 1))
+        rep = classify(convex_hull(apply_matrix(u, OCTAHEDRON)))
+        assert rep.degree == 48
+        assert rep.hilbert == (1, 27, 125, 343, 729, 1331)
 
 
 class TestListInclusions:
