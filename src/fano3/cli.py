@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 from . import db
 from .criteria import ClassificationReport, classify
@@ -89,11 +90,20 @@ def _check_mmax(m_max: int) -> None:
         raise InputError(f"--mmax must be nonnegative, got {m_max}")
 
 
+def _write_output(path: str, write) -> None:
+    try:
+        write(path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_classify(args) -> int:
     _check_mmax(args.mmax)
     records = _load_records(args.input, args.format, args.strict, args.sidecar)
     reports = _classify_all(records, args.jobs, args.mmax)
-    db.write_reports(reports, args.out, format=args.report)
+    _write_output(
+        args.out, lambda path: db.write_reports(reports, path, format=args.report)
+    )
     print(f"classified {len(reports)} polytopes -> {args.out}")
     return 0
 
@@ -107,8 +117,7 @@ def cmd_lists(args) -> int:
     payload["union_indec_aft"] = len(union)
     text = json.dumps(payload, indent=1) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_output(args.out, lambda path: Path(path).write_text(text))
     else:
         sys.stdout.write(text)
     return 0
@@ -270,6 +279,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,11 @@ or the facet pairing) of a reflexive polytope and contributes a verdict to
 the classification report.  Obstruction criteria report witnesses, i.e. the
 facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
+
+Every facet is flattened and classified once per polytope, into a facet
+table.  Each verdict lives in one private helper that reads the table; the
+public ``criterion_*`` functions build the table and call that helper, and
+``classify`` builds it once and calls all of them.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .polytope import (
     is_fano,
     is_reflexive,
     lattice_points,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
-    normalized_volume,
-    polar,
+    normalized_volume,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
+    polar,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
 )
 
 LOW_DEGREES = frozenset({4, 6, 8, 10, 12})
@@ -81,19 +86,84 @@ class ClassificationReport:
         }
 
 
-def _facet_polygons(poly: LatticePolytope) -> list[LatticePolygon]:
-    return [facet_to_polygon(poly, i) for i in range(len(poly.facets))]
+def _require_reflexive(poly: LatticePolytope) -> None:
+    if not is_reflexive(poly):
+        raise ValueError("criterion requires a reflexive polytope")
+
+
+def _facet_table(poly: LatticePolytope) -> list[tuple[LatticePolygon, PolygonClass]]:
+    """Flattened polygon and class of every facet, computed once per polytope."""
+    table = []
+    for fi in range(len(poly.facets)):
+        polygon = facet_to_polygon(poly, fi)
+        table.append((polygon, classify_polygon(polygon)))
+    return table
+
+
+def _smooth(classes) -> bool:
+    return all(cls.kind == STANDARD_TRIANGLE for cls in classes)
+
+
+def _node_facets_only(classes) -> bool:
+    return all(cls.kind in (STANDARD_TRIANGLE, STANDARD_SQUARE) for cls in classes)
+
+
+def _isolated(poly: LatticePolytope, classes) -> bool:
+    return has_only_unitary_edges(poly) and not _smooth(classes)
+
+
+def _nodes(classes) -> bool:
+    return _node_facets_only(classes) and any(
+        cls.kind == STANDARD_SQUARE for cls in classes
+    )
+
+
+def _indec_witnesses(table) -> list[int]:
+    witnesses = []
+    for fi, (polygon, cls) in enumerate(table):
+        if cls.kind == STANDARD_TRIANGLE:
+            continue
+        if any(l != 1 for l in cls.edge_lengths):
+            continue
+        if is_minkowski_indecomposable(polygon):
+            witnesses.append(fi)
+    return witnesses
+
+
+def _aft_witnesses(poly: LatticePolytope, classes) -> list[tuple[int, int]]:
+    witnesses = set()
+    for edge_index, (f0, f1) in enumerate(poly.facet_adjacency):
+        c0, c1 = classes[f0], classes[f1]
+        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE:
+            continue
+        if c0.m != c1.m:
+            continue
+        n = c0.m
+        if poly.edge_lattice_length(edge_index) != n + 1:
+            continue
+        shared = set(poly.edges[edge_index])
+        for a, b in ((f0, f1), (f1, f0)):
+            apex_candidates = [
+                i for i in poly.facets[a].vertex_indices if i not in shared
+            ]
+            if len(apex_candidates) != 1:
+                continue
+            v0 = poly.vertices[apex_candidates[0]]
+            w1 = poly.facets[b].normal
+            if dot(w1, v0) == 0:
+                witnesses.add((min(f0, f1), max(f0, f1)))
+                break
+    return sorted(witnesses)
 
 
 def facet_classes(poly: LatticePolytope) -> list[PolygonClass]:
-    return [classify_polygon(f) for f in _facet_polygons(poly)]
+    return [cls for _, cls in _facet_table(poly)]
 
 
 def criterion_smooth(poly: LatticePolytope) -> bool:
     """Every facet is a standard triangle."""
-    if not is_reflexive(poly):
-        raise ValueError("criterion requires a reflexive polytope")
-    return all(cls.kind == STANDARD_TRIANGLE for cls in facet_classes(poly))
+    _require_reflexive(poly)
+    return _smooth(facet_classes(poly))
 
 
 def has_only_unitary_edges(poly: LatticePolytope) -> bool:
@@ -105,19 +175,13 @@ def has_only_unitary_edges(poly: LatticePolytope) -> bool:
 
 def has_only_node_facets(poly: LatticePolytope) -> bool:
     """Every facet is a standard triangle or square (no square-presence gate)."""
-    return all(
-        cls.kind in (STANDARD_TRIANGLE, STANDARD_SQUARE)
-        for cls in facet_classes(poly)
-    )
+    return _node_facets_only(facet_classes(poly))
 
 
 def criterion_isolated_singular(poly: LatticePolytope) -> bool:
     """Unitary edges throughout, with at least one non-standard-triangle facet."""
-    if not is_reflexive(poly):
-        raise ValueError("criterion requires a reflexive polytope")
-    if not has_only_unitary_edges(poly):
-        return False
-    return any(cls.kind != STANDARD_TRIANGLE for cls in facet_classes(poly))
+    _require_reflexive(poly)
+    return _isolated(poly, facet_classes(poly))
 
 
 def criterion_nodes(poly: LatticePolytope) -> bool:
@@ -127,14 +191,8 @@ def criterion_nodes(poly: LatticePolytope) -> bool:
     genuinely singular polytopes; the associated varieties have only
     ordinary double points and are therefore deformable to smooth ones.
     """
-    if not is_reflexive(poly):
-        raise ValueError("criterion requires a reflexive polytope")
-    classes = facet_classes(poly)
-    if any(
-        cls.kind not in (STANDARD_TRIANGLE, STANDARD_SQUARE) for cls in classes
-    ):
-        return False
-    return any(cls.kind == STANDARD_SQUARE for cls in classes)
+    _require_reflexive(poly)
+    return _nodes(facet_classes(poly))
 
 
 def criterion_totaro_rigid(poly: LatticePolytope) -> bool:
@@ -189,18 +247,8 @@ def criterion_indec(poly: LatticePolytope) -> list[int]:
     admit no one-parameter smoothing direction at all, so the whole variety
     cannot be smoothed.
     """
-    if not is_reflexive(poly):
-        raise ValueError("criterion requires a reflexive polytope")
-    witnesses = []
-    for fi, polygon in enumerate(_facet_polygons(poly)):
-        cls = classify_polygon(polygon)
-        if cls.kind == STANDARD_TRIANGLE:
-            continue
-        if any(l != 1 for l in cls.edge_lengths):
-            continue
-        if is_minkowski_indecomposable(polygon):
-            witnesses.append(fi)
-    return witnesses
+    _require_reflexive(poly)
+    return _indec_witnesses(_facet_table(poly))
 
 
 def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
@@ -212,32 +260,8 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     facet's normal.  Both orderings of the pair are tested and the unordered
     pair is reported when either fires.
     """
-    if not is_reflexive(poly):
-        raise ValueError("criterion requires a reflexive polytope")
-    classes = facet_classes(poly)
-    witnesses = set()
-    for edge_index, (f0, f1) in enumerate(poly.facet_adjacency):
-        c0, c1 = classes[f0], classes[f1]
-        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE:
-            continue
-        if c0.m != c1.m:
-            continue
-        n = c0.m
-        if poly.edge_lattice_length(edge_index) != n + 1:
-            continue
-        shared = set(poly.edges[edge_index])
-        for a, b in ((f0, f1), (f1, f0)):
-            apex_candidates = [
-                i for i in poly.facets[a].vertex_indices if i not in shared
-            ]
-            if len(apex_candidates) != 1:
-                continue
-            v0 = poly.vertices[apex_candidates[0]]
-            w1 = poly.facets[b].normal
-            if dot(w1, v0) == 0:
-                witnesses.add((min(f0, f1), max(f0, f1)))
-                break
-    return sorted(witnesses)
+    _require_reflexive(poly)
+    return _aft_witnesses(poly, facet_classes(poly))
 
 
 def ext1_pushforward_degrees(n: int, d: int) -> list[int]:
@@ -254,8 +278,7 @@ def ext1_pushforward_degrees(n: int, d: int) -> list[int]:
 
 def criterion_low_degree(poly: LatticePolytope) -> bool:
     """Degree in {4, 6, 8, 10, 12}; such varieties are known to be smoothable."""
-    if not is_reflexive(poly):
-        raise ValueError("criterion requires a reflexive polytope")
+    _require_reflexive(poly)
     return _degree(poly) in LOW_DEGREES
 
 
@@ -273,57 +296,45 @@ def classify(
         raise ValueError("m_max must be nonnegative")
     if not is_fano(poly):
         raise ValueError("classification requires a Fano polytope")
-    classes = tuple(facet_classes(poly))
-    reflexive = is_reflexive(poly)
-    totaro = criterion_totaro_rigid(poly)
+    table = _facet_table(poly)
+    classes = tuple(cls for _, cls in table)
     rigid_witnesses = tuple(criterion_rigid_face(poly))
-
-    if reflexive:
-        unitary = has_only_unitary_edges(poly)
-        smooth = all(cls.kind == STANDARD_TRIANGLE for cls in classes)
-        isolated = unitary and not smooth
-        nodes = (
-            all(cls.kind in (STANDARD_TRIANGLE, STANDARD_SQUARE) for cls in classes)
-            and any(cls.kind == STANDARD_SQUARE for cls in classes)
-        )
-        indec_witnesses = tuple(criterion_indec(poly))
-        aft_witnesses = tuple(criterion_aft(poly))
-        dual = polar(poly)
-        deg = normalized_volume(dual)
-        hilbert = tuple(hilbert_from_degree(deg, m_max))
-        return ClassificationReport(
-            polytope_id=polytope_id,
-            reflexive=True,
-            facet_classes=classes,
-            smooth=smooth,
-            isolated_singular=isolated,
-            nodes=nodes,
-            totaro_rigid=totaro,
-            rigid_face_obstruction=bool(rigid_witnesses),
-            indec_obstruction=bool(indec_witnesses),
-            aft_obstruction=bool(aft_witnesses),
-            low_degree=deg in LOW_DEGREES,
-            rigid_face_witnesses=rigid_witnesses,
-            indec_witnesses=indec_witnesses,
-            aft_witnesses=aft_witnesses,
-            degree=deg,
-            hilbert=hilbert,
-        )
-    return ClassificationReport(
+    common = dict(
         polytope_id=polytope_id,
-        reflexive=False,
         facet_classes=classes,
-        smooth=None,
-        isolated_singular=None,
-        nodes=None,
-        totaro_rigid=totaro,
+        totaro_rigid=criterion_totaro_rigid(poly),
         rigid_face_obstruction=bool(rigid_witnesses),
-        indec_obstruction=None,
-        aft_obstruction=None,
-        low_degree=None,
         rigid_face_witnesses=rigid_witnesses,
-        indec_witnesses=(),
-        aft_witnesses=(),
-        degree=None,
-        hilbert=None,
+    )
+    if not is_reflexive(poly):
+        return ClassificationReport(
+            **common,
+            reflexive=False,
+            smooth=None,
+            isolated_singular=None,
+            nodes=None,
+            indec_obstruction=None,
+            aft_obstruction=None,
+            low_degree=None,
+            indec_witnesses=(),
+            aft_witnesses=(),
+            degree=None,
+            hilbert=None,
+        )
+    indec_witnesses = tuple(_indec_witnesses(table))
+    aft_witnesses = tuple(_aft_witnesses(poly, classes))
+    deg = _degree(poly)
+    return ClassificationReport(
+        **common,
+        reflexive=True,
+        smooth=_smooth(classes),
+        isolated_singular=_isolated(poly, classes),
+        nodes=_nodes(classes),
+        indec_obstruction=bool(indec_witnesses),
+        aft_obstruction=bool(aft_witnesses),
+        low_degree=deg in LOW_DEGREES,
+        indec_witnesses=indec_witnesses,
+        aft_witnesses=aft_witnesses,
+        degree=deg,
+        hilbert=tuple(hilbert_from_degree(deg, m_max)),
     )

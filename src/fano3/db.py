@@ -33,6 +33,11 @@ def _load_json(path):
         raise DatabaseFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _is_id(value) -> bool:
+    """Ids are ints; bools are ints to Python but not ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 LIST_NAMES = ("L_smooth", "L_isol", "L_nodes", "L_low", "L_indec", "L_aft")
 
 
@@ -121,7 +126,7 @@ def load_id_sidecar(path) -> list[int]:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("ids")
-    if not isinstance(data, list) or not all(isinstance(i, int) for i in data):
+    if not isinstance(data, list) or not all(_is_id(i) for i in data):
         raise DatabaseFormatError("sidecar must be a JSON array of integer ids")
     return data
 
@@ -144,7 +149,7 @@ def parse_json(path) -> list[PolytopeRecord]:
         try:
             pid = entry["id"]
             verts = entry["vertices"]
-            if not isinstance(pid, int):
+            if not _is_id(pid):
                 raise TypeError("id must be an integer")
             vertices = tuple(
                 tuple(int(c) for c in v) for v in verts
@@ -176,7 +181,7 @@ def load_expected_lists(path) -> ExpectedLists:
     for name, ids in data.items():
         if name not in LIST_NAMES:
             raise DatabaseFormatError(f"unknown list name {name!r}")
-        if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
+        if not isinstance(ids, list) or not all(_is_id(i) for i in ids):
             raise DatabaseFormatError(f"list {name} must hold integer ids")
         lists[name] = frozenset(ids)
     return ExpectedLists(lists=lists)

@@ -55,6 +55,39 @@ def is_primitive(v: Vec) -> bool:
     return g == 1
 
 
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0, by the Euclidean algorithm."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def plane_basis(n: Vec) -> tuple[Vec, Vec, Vec]:
+    """Basis (e, b1, b2) of Z^3 with det 1, <n, e> = 1 and <n, b1> = <n, b2> = 0.
+
+    For a primitive n = (a, b, c), write g = gcd(a, b) = s a + t b and
+    1 = u g + v c; then e = (u s, u t, v), b1 = (b, -a, 0) / g and
+    b2 = (c s, c t, -g).  So b1, b2 span the plane lattice n^perp, and
+    b1 x b2 = n.  When a = b = 0 the basis is read off c = +-1 directly.
+    """
+    a, b, c = n
+    g, s, t = ext_gcd(a, b)
+    if g == 0:
+        if c not in (1, -1):
+            raise ValueError(f"normal {n} is not primitive")
+        return (0, 0, c), (c, 0, 0), (0, 1, 0)
+    one, u, v = ext_gcd(g, c)
+    if one != 1:
+        raise ValueError(f"normal {n} is not primitive")
+    return (u * s, u * t, v), (b // g, -a // g, 0), (c * s, c * t, -g)
+
+
 def det2(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 

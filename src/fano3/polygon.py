@@ -18,10 +18,13 @@ from typing import TYPE_CHECKING
 
 from .intlinalg import (
     Vec,
+    cross,
     det2,
-    inverse_unimodular,
-    matvec,
-    smith_normal_form,
+    dot,
+    inverse_unimodular,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
+    matvec,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
+    plane_basis,
+    smith_normal_form,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     vsub,
 )
 
@@ -192,25 +195,25 @@ def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePo
 
     An affine unimodular isomorphism from the lattice of the facet plane onto
     Z^2 is applied to the facet's vertex cycle.  The chart comes from the
-    Smith normal form of the facet normal: the right transform supplies a
-    basis of the plane's direction lattice, and the first facet vertex is the
+    extended-gcd basis (e, b1, b2) of ``plane_basis``: b1, b2 span the
+    plane's direction lattice, the rows b2 x e and e x b1 of the inverse
+    basis read off the coordinates in it, and the first facet vertex is the
     anchor.  The result is unique up to AGL(2, Z), which is all that the
     classification and decomposition predicates can see.
     """
     if not 0 <= facet_index < len(polytope.facets):
         raise IndexError(f"facet index {facet_index} out of range")
     facet = polytope.facets[facet_index]
-    _, _, right = smith_normal_form((facet.normal,))
-    cols = list(zip(*right))
-    b1, b2 = tuple(cols[1]), tuple(cols[2])
+    normal = facet.normal
+    e, b1, b2 = plane_basis(normal)
+    row1, row2 = cross(b2, e), cross(e, b1)
     anchor = polytope.vertices[facet.vertex_indices[0]]
-    inv = inverse_unimodular(right)
     verts2 = []
     for idx in facet.vertex_indices:
-        y = matvec(inv, vsub(polytope.vertices[idx], anchor))
-        if y[0] != 0:
+        d = vsub(polytope.vertices[idx], anchor)
+        if dot(normal, d) != 0:
             raise AssertionError("facet vertex left the facet plane")
-        verts2.append((y[1], y[2]))
+        verts2.append((dot(row1, d), dot(row2, d)))
     return LatticePolygon(tuple(verts2), chart=AffineChart(anchor, (b1, b2)))
 
 

@@ -8,6 +8,7 @@ vertices), so the hull is built by straightforward incremental insertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from ._kernels import count_box_points, list_box_points
 from .intlinalg import (
@@ -63,8 +64,6 @@ class LatticePolytope:
     def edge_lattice_length(self, edge_index: int) -> int:
         a, b = self.edges[edge_index]
         d = vsub(self.vertices[b], self.vertices[a])
-        from math import gcd
-
         return gcd(gcd(abs(d[0]), abs(d[1])), abs(d[2]))
 
     def facet_vertices(self, facet_index: int) -> tuple[Vec, ...]:

@@ -61,6 +61,16 @@ def random_unimodular(rng: random.Random, size: int = 3, shears: int = 4):
     return tuple(tuple(row) for row in m)
 
 
+def large_shear(rng: random.Random, bound: int = 300, shears: int = 3):
+    """A GL(3, Z) matrix from elementary shears with factors up to ``bound``."""
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(shears):
+        src, dst = rng.sample(range(3), 2)
+        k = rng.randint(-bound, bound)
+        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
+    return tuple(tuple(row) for row in m)
+
+
 def apply_matrix(m, points):
     return tuple(
         tuple(sum(m[i][j] * p[j] for j in range(len(p))) for i in range(len(m)))

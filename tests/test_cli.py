@@ -83,6 +83,21 @@ class TestClassifyCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --mmax must be nonnegative, got -1"] * 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, db_path, tmp_path, capsys, jobs):
+        out = tmp_path / "report.json"
+        assert main(["classify", str(db_path), "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --jobs must be at least 1, got {jobs}"]
+
+    @pytest.mark.parametrize("command", ["classify", "lists"])
+    def test_unwritable_out_is_input_error(self, db_path, tmp_path, capsys, command):
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert main([command, str(db_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}")
+
     def test_degenerate_record_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([{"id": 1, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}]))
@@ -106,6 +121,19 @@ class TestListsCommand:
         out = tmp_path / "lists.json"
         assert main(["lists", str(db_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["L_smooth"] == [1, 2]
+
+    def test_bool_ids_are_input_errors(self, tmp_path, capsys):
+        verts = [list(v) for v in OCTAHEDRON]
+        as_json = tmp_path / "bool.json"
+        as_json.write_text(json.dumps([{"id": True, "vertices": verts}]))
+        palp = tmp_path / "db.txt"
+        palp.write_text("6 3\n" + "\n".join(" ".join(map(str, v)) for v in verts) + "\n")
+        sidecar = tmp_path / "ids.json"
+        sidecar.write_text(json.dumps([True]))
+        assert main(["lists", str(as_json)]) == 2
+        assert main(["lists", str(palp), "--sidecar", str(sidecar)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
     def test_empty_database(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -156,6 +184,13 @@ class TestVerifyCommand:
         exp = tmp_path / "expected.json"
         exp.write_text("oops")
         assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
+
+    def test_bool_expected_id_is_input_error(self, db_path, tmp_path, capsys):
+        exp = tmp_path / "expected.json"
+        exp.write_text(json.dumps({"L_smooth": [True, 2]}))
+        assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: list L_smooth must hold integer ids"]
 
 
 class TestInspectCommand:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from fano3.intlinalg import (
     is_primitive,
     matmul,
     matvec,
+    plane_basis,
     smith_normal_form,
     solve_height_one,
 )
@@ -105,6 +108,18 @@ class TestExtendsToBasis:
             return
         transformed = tuple(matvec(u, v) for v in vs)
         assert extends_to_basis(vs) == extends_to_basis(transformed)
+
+
+class TestPlaneBasis:
+    @given(st.tuples(entries, entries, entries))
+    def test_unimodular_and_adapted(self, n):
+        if gcd(gcd(n[0], n[1]), n[2]) != 1:
+            with pytest.raises(ValueError):
+                plane_basis(n)
+            return
+        e, b1, b2 = plane_basis(n)
+        assert det3((e, b1, b2)) == 1
+        assert (dot(n, e), dot(n, b1), dot(n, b2)) == (1, 0, 0)
 
 
 class TestSolveHeightOne:

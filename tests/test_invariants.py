@@ -3,9 +3,17 @@ import random
 import pytest
 
 import oracles
-from conftest import CUBE, NAMED_FANO, OCTAHEDRON, PYRAMID, TETRAHEDRON
+from conftest import (
+    CUBE,
+    NAMED_FANO,
+    OCTAHEDRON,
+    PYRAMID,
+    TETRAHEDRON,
+    apply_matrix,
+    large_shear,
+)
 from fano3.invariants import degree, hilbert_prefix
-from fano3.polytope import convex_hull
+from fano3.polytope import convex_hull, normalized_volume, polar
 
 
 class TestDegree:
@@ -20,6 +28,21 @@ class TestDegree:
 
     def test_cube(self):
         assert degree(convex_hull(CUBE)) == 8
+
+    def test_equals_volume_of_polar(self, reflexive_pool):
+        # degree sums determinants over the face lattice of P; the reference
+        # builds the polar's hull and fans its facets
+        rng = random.Random(0xDE6)
+        sample = random.Random(0xB0C5).sample(reflexive_pool, 30)
+        base = list(NAMED_FANO.values()) + sample
+        sheared = [apply_matrix(large_shear(rng), pts) for pts in base]
+        sheared += [
+            apply_matrix(((1, 300, 0), (0, 1, 300), (0, 0, 1)), pts)
+            for pts in NAMED_FANO.values()
+        ]
+        for pts in base + sheared:
+            poly = convex_hull(pts)
+            assert degree(poly) == normalized_volume(polar(poly))
 
     def test_requires_reflexive(self):
         poly = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)])

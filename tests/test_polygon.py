@@ -3,7 +3,8 @@ import random
 import pytest
 
 import oracles
-from conftest import PENTAGON, PYRAMID
+from conftest import AFT_FIXTURE, CUBE, PENTAGON, PYRAMID, apply_matrix, large_shear
+from fano3.intlinalg import det3, dot
 from fano3.polygon import (
     AM_TRIANGLE,
     OTHER,
@@ -21,7 +22,7 @@ from fano3.polygon import (
     maximal_decompositions,
     translation_key,
 )
-from fano3.polytope import convex_hull
+from fano3.polytope import convex_hull, polar
 
 UNIT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
@@ -298,12 +299,28 @@ class TestFacetToPolygon:
             box = _facet_lattice_points(poly, facet)
             assert lifted == box
 
-    def test_chart_preserves_cycle(self):
-        poly = convex_hull(PYRAMID)
-        for i, facet in enumerate(poly.facets):
-            flat = facet_to_polygon(poly, i)
-            originals = [poly.vertices[j] for j in facet.vertex_indices]
-            assert [flat.chart.lift(q) for q in flat.vertices] == originals
+    def test_chart_preserves_cycle(self, reflexive_pool):
+        # the cube and the polar of the AFT fixture have the facet normals
+        # (0, 0, +-1), (0, +-1, 0) and (1, 1, 0), with zero entries
+        rng = random.Random(0xC4A7)
+        base = [PYRAMID, CUBE, polar(convex_hull(AFT_FIXTURE)).vertices]
+        base += random.Random(0xB0C5).sample(reflexive_pool, 30)
+        sheared = [apply_matrix(large_shear(rng), pts) for pts in base]
+        normals = set()
+        for pts in base + sheared:
+            poly = convex_hull(pts)
+            for i, facet in enumerate(poly.facets):
+                flat = facet_to_polygon(poly, i)
+                originals = [poly.vertices[j] for j in facet.vertex_indices]
+                assert [flat.chart.lift(q) for q in flat.vertices] == originals
+                # b1, b2 lie in the facet plane and, with a height-one
+                # vertex, form a basis of Z^3, so they span its lattice
+                b1, b2 = flat.chart.basis
+                assert dot(facet.normal, b1) == dot(facet.normal, b2) == 0
+                assert facet.height == 1
+                assert abs(det3((originals[0], b1, b2))) == 1
+                normals.add(facet.normal)
+        assert {(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 1, 0)} <= normals
 
 
 def _facet_lattice_points(poly, facet):
