@@ -1,12 +1,13 @@
-"""Lattice point counting by a column scan on Python ints.
+"""Lattice point scan by columns on Python ints.
 
 The scan walks the (x, y) range of the bounding box and, for each column,
 clips the z interval against the facet inequalities A @ p <= b with exact
 integer floor divisions, so the work is quadratic in the box size rather
-than cubic.  Python ints never overflow, so the count is exact for any
-coordinate magnitude.  Classification counts no points (its Hilbert
-coefficients come from the degree); this path serves ``lattice_points``
-and the checks built on it.
+than cubic.  Python ints never overflow, so the scan is exact for any
+coordinate magnitude.  One column generator serves both the point count and
+the point list.  Classification counts no points (its Hilbert coefficients
+come from the degree); this path serves ``lattice_points``,
+``lattice_point_list`` and the checks built on them.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ def default_backend() -> str:
     return "python"
 
 
-def count_box_points(normals, bounds, lo, hi) -> int:
-    """Number of integer points p with lo <= p <= hi and normals @ p <= bounds.
+def box_columns(normals, bounds, lo, hi):
+    """Yield (x, y, zlo, zhi) for each column of the box holding points.
 
+    The integer points p with lo <= p <= hi and normals @ p <= bounds are
+    exactly the (x, y, z) with zlo <= z <= zhi over the yielded columns.
     ``normals`` is a sequence of integer 3-vectors, ``bounds`` the matching
     right-hand sides.  Exact for integers of any size.
     """
@@ -27,7 +30,6 @@ def count_box_points(normals, bounds, lo, hi) -> int:
     bounds = [int(b) for b in bounds]
     lo = tuple(int(c) for c in lo)
     hi = tuple(int(c) for c in hi)
-    count = 0
     for x in range(lo[0], hi[0] + 1):
         for y in range(lo[1], hi[1] + 1):
             zlo, zhi = lo[2], hi[2]
@@ -46,21 +48,9 @@ def count_box_points(normals, bounds, lo, hi) -> int:
                     feasible = False
                     break
             if feasible and zlo <= zhi:
-                count += zhi - zlo + 1
-    return count
+                yield x, y, zlo, zhi
 
 
-def list_box_points(normals, bounds, lo, hi) -> list[tuple[int, int, int]]:
-    """The integer points themselves, via an exact python scan."""
-    normals = [tuple(int(c) for c in n) for n in normals]
-    bounds = [int(b) for b in bounds]
-    out = []
-    for x in range(lo[0], hi[0] + 1):
-        for y in range(lo[1], hi[1] + 1):
-            for z in range(lo[2], hi[2] + 1):
-                if all(
-                    n[0] * x + n[1] * y + n[2] * z <= b
-                    for n, b in zip(normals, bounds)
-                ):
-                    out.append((x, y, z))
-    return out
+def count_box_points(normals, bounds, lo, hi) -> int:
+    """Number of integer points p with lo <= p <= hi and normals @ p <= bounds."""
+    return sum(zhi - zlo + 1 for _, _, zlo, zhi in box_columns(normals, bounds, lo, hi))

@@ -6,17 +6,23 @@ the classification report.  Obstruction criteria report witnesses, i.e. the
 facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
-Every facet is flattened and classified once per polytope, into a facet
-table.  Each verdict lives in one private helper that reads the table; the
-public ``criterion_*`` functions build the table and call that helper, and
-``classify`` builds it once and calls all of them.
+Every facet is flattened once, by ``polytope.convex_hull``, and classified
+once per polytope, into a facet table.  Each verdict lives in one private
+helper that reads the table; the public ``criterion_*`` functions build the
+table and call that helper, and ``classify`` builds it once and calls all
+of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import det3, dot, extends_to_basis, solve_height_one
+from .intlinalg import (
+    det3,
+    dot,
+    extends_to_basis,
+    solve_height_one,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
+)
 from .invariants import degree as _degree, hilbert_from_degree
 from .polygon import (
     AM_TRIANGLE,
@@ -92,7 +98,7 @@ def _require_reflexive(poly: LatticePolytope) -> None:
 
 
 def _facet_table(poly: LatticePolytope) -> list[tuple[LatticePolygon, PolygonClass]]:
-    """Flattened polygon and class of every facet, computed once per polytope."""
+    """Flattened polygon and class of every facet, classified once per polytope."""
     table = []
     for fi in range(len(poly.facets)):
         polygon = facet_to_polygon(poly, fi)
@@ -199,20 +205,18 @@ def criterion_totaro_rigid(poly: LatticePolytope) -> bool:
     """Combinatorial rigidity: triangular facets and unitary height-one edges.
 
     Every facet must be a triangle, and each edge must have lattice length 1
-    and admit an integral dual functional equal to 1 on both endpoints.  On
-    a reflexive polytope the facet hyperplane itself provides the
-    functional, but the criterion applies to any Fano polytope.
+    and admit an integral dual functional equal to 1 on both endpoints.  For
+    distinct endpoints a, b both hold exactly when a x b is primitive, that
+    is when (a, b) extends to a basis of Z^3, which is what is tested, as in
+    ``criterion_rigid_face``.  The criterion applies to any Fano polytope.
     """
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
     if any(len(f.vertex_indices) != 3 for f in poly.facets):
         return False
-    for i, (a, b) in enumerate(poly.edges):
-        if poly.edge_lattice_length(i) != 1:
-            return False
-        if solve_height_one(poly.vertices[a], poly.vertices[b]) is None:
-            return False
-    return True
+    return all(
+        extends_to_basis((poly.vertices[a], poly.vertices[b])) for a, b in poly.edges
+    )
 
 
 def criterion_rigid_face(poly: LatticePolytope) -> list[int]:

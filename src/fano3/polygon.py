@@ -1,9 +1,10 @@
 """Lattice polygons in Z^2 and the Minkowski structure of polytope facets.
 
 A facet of a 3-dimensional lattice polytope is flattened to Z^2 by an affine
-unimodular chart; every predicate defined here (classification, edge lengths,
-decomposability) is invariant under such charts, so nothing downstream
-depends on which chart was picked.
+unimodular chart, once, when ``polytope.convex_hull`` builds the facet;
+every predicate defined here (classification, edge lengths, decomposability)
+is invariant under such charts, so nothing downstream depends on which chart
+was picked.
 
 Minkowski summands of a convex lattice polygon are enumerated by the edge
 vector method: a lattice summand is exactly a choice of sub-lengths of the
@@ -12,18 +13,15 @@ edge vectors that closes up to zero, taken in the same cyclic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
 from .intlinalg import (
     Vec,
-    cross,
     det2,
-    dot,
     inverse_unimodular,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     matvec,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
-    plane_basis,
     smith_normal_form,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     vsub,
 )
@@ -59,13 +57,10 @@ class LatticePolygon:
     """A polygon (or segment, or point) in Z^2 given by its vertex cycle.
 
     Vertices are listed in boundary order and must be in strictly convex
-    position; segments carry their two endpoints.  The optional chart
-    remembers how a facet was flattened, so polygon lattice points can be
-    lifted back to the ambient Z^3.
+    position; segments carry their two endpoints.
     """
 
     vertices: tuple[Vec2, ...]
-    chart: AffineChart | None = field(default=None, compare=False)
 
     def __post_init__(self):
         vs = tuple(tuple(v) for v in self.vertices)
@@ -191,30 +186,17 @@ class PolygonClass:
 
 
 def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePolygon:
-    """Flatten a facet of a 3-polytope to Z^2.
+    """A facet of a 3-polytope flattened to Z^2.
 
-    An affine unimodular isomorphism from the lattice of the facet plane onto
-    Z^2 is applied to the facet's vertex cycle.  The chart comes from the
-    extended-gcd basis (e, b1, b2) of ``plane_basis``: b1, b2 span the
-    plane's direction lattice, the rows b2 x e and e x b1 of the inverse
-    basis read off the coordinates in it, and the first facet vertex is the
-    anchor.  The result is unique up to AGL(2, Z), which is all that the
+    ``convex_hull`` flattens every facet once, with the unimodular chart of
+    its plane, and keeps the polygon on the facet; this looks it up.  Its
+    vertices follow the facet's vertex cycle and ``facet.chart`` lifts them
+    back.  The result is unique up to AGL(2, Z), which is all that the
     classification and decomposition predicates can see.
     """
     if not 0 <= facet_index < len(polytope.facets):
         raise IndexError(f"facet index {facet_index} out of range")
-    facet = polytope.facets[facet_index]
-    normal = facet.normal
-    e, b1, b2 = plane_basis(normal)
-    row1, row2 = cross(b2, e), cross(e, b1)
-    anchor = polytope.vertices[facet.vertex_indices[0]]
-    verts2 = []
-    for idx in facet.vertex_indices:
-        d = vsub(polytope.vertices[idx], anchor)
-        if dot(normal, d) != 0:
-            raise AssertionError("facet vertex left the facet plane")
-        verts2.append((dot(row1, d), dot(row2, d)))
-    return LatticePolygon(tuple(verts2), chart=AffineChart(anchor, (b1, b2)))
+    return polytope.facets[facet_index].polygon
 
 
 def edge_lattice_lengths(poly: LatticePolygon) -> tuple[int, ...]:

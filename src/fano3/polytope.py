@@ -3,24 +3,27 @@
 All geometric predicates are exact 3x3 integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
 vertices), so the hull is built by straightforward incremental insertion.
+The hull flattens each facet once, with a unimodular chart of its plane,
+and keeps the resulting lattice polygon and chart on the ``Facet``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
-from ._kernels import count_box_points, list_box_points
+from ._kernels import box_columns, count_box_points
 from .intlinalg import (
     Vec,
     cross,
     det3,
     dot,
     is_primitive,
+    plane_basis,
     primitive_part,
     vsub,
 )
-from .polygon import convex_hull_2d
+from .polygon import AffineChart, LatticePolygon, convex_hull_2d
 
 
 class DegenerateInputError(ValueError):
@@ -33,12 +36,16 @@ class Facet:
 
     The normal is primitive and outward: <normal, v> = height on the facet
     and < height on the rest of the polytope.  The vertex cycle is
-    counterclockwise as seen from outside.
+    counterclockwise as seen from outside.  ``polygon`` is the facet in Z^2,
+    vertex for vertex in the same cycle, and ``chart`` lifts its points
+    back onto the facet plane.
     """
 
     vertex_indices: tuple[int, ...]
     normal: Vec
     height: int
+    polygon: LatticePolygon = field(compare=False, repr=False)
+    chart: AffineChart = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -65,9 +72,6 @@ class LatticePolytope:
         a, b = self.edges[edge_index]
         d = vsub(self.vertices[b], self.vertices[a])
         return gcd(gcd(abs(d[0]), abs(d[1])), abs(d[2]))
-
-    def facet_vertices(self, facet_index: int) -> tuple[Vec, ...]:
-        return tuple(self.vertices[i] for i in self.facets[facet_index].vertex_indices)
 
 
 def _orient(a: Vec, b: Vec, c: Vec, d: Vec) -> int:
@@ -171,11 +175,14 @@ def _hull_triangles(points: list[Vec]) -> list[tuple[int, int, int]]:
 def convex_hull(points) -> LatticePolytope:
     """Convex hull of lattice points in Z^3 with its full face data.
 
-    Coplanar hull triangles are merged into facets, facet boundaries are
-    reconstructed by a 2-dimensional hull inside each supporting plane, and
-    the cyclic order is fixed so the outward normal sees the cycle
-    counterclockwise.  Raises DegenerateInputError when the points do not
-    affinely span R^3.
+    Coplanar hull triangles are merged into facets.  Each facet plane gets
+    the chart of ``plane_basis``: the extended-gcd basis (e, b1, b2) of Z^3
+    with <n, e> = 1 and b1 x b2 = n, under which a point v of the plane
+    reads (b2 x e . v, e x b1 . v).  The facet boundary is the 2-dimensional
+    hull of the member points in those coordinates; since b1 x b2 is the
+    outward normal, its counterclockwise cycle is counterclockwise seen from
+    outside.  Raises DegenerateInputError when the points do not affinely
+    span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(tuple(int(c) for c in p) for p in points))
     if len(pts) < 4:
@@ -190,17 +197,15 @@ def convex_hull(points) -> LatticePolytope:
 
     facet_data = []
     for (normal, height), members in planes.items():
-        axis = max(range(3), key=lambda i: abs(normal[i]))
-        keep = [i for i in range(3) if i != axis]
-        flat = {(pts[m][keep[0]], pts[m][keep[1]]): m for m in members}
-        cycle2 = convex_hull_2d(flat.keys()).vertices
-        cycle = [flat[q] for q in cycle2]
-        a, b, c = (pts[cycle[0]], pts[cycle[1]], pts[cycle[2]])
-        if dot(cross(vsub(b, a), vsub(c, b)), normal) < 0:
-            cycle.reverse()
-        facet_data.append((normal, height, tuple(cycle)))
+        e, b1, b2 = plane_basis(normal)
+        row1, row2 = cross(b2, e), cross(e, b1)
+        flat = {(dot(row1, pts[m]), dot(row2, pts[m])): m for m in members}
+        polygon = convex_hull_2d(flat.keys())
+        cycle = tuple(flat[q] for q in polygon.vertices)
+        origin = tuple(height * c for c in e)
+        facet_data.append((normal, height, cycle, polygon, AffineChart(origin, (b1, b2))))
 
-    used = sorted({i for _, _, cycle in facet_data for i in cycle})
+    used = sorted({i for _, _, cycle, _, _ in facet_data for i in cycle})
     renumber = {old: new for new, old in enumerate(used)}
     vertices = tuple(pts[i] for i in used)
 
@@ -210,8 +215,10 @@ def convex_hull(points) -> LatticePolytope:
             vertex_indices=tuple(renumber[i] for i in cycle),
             normal=normal,
             height=height,
+            polygon=polygon,
+            chart=chart,
         )
-        for normal, height, cycle in facet_data
+        for normal, height, cycle, polygon, chart in facet_data
     )
 
     edge_facets: dict[tuple[int, int], list[int]] = {}
@@ -294,6 +301,23 @@ def normalized_volume(poly: LatticePolytope) -> int:
     return total
 
 
+def _dilated_system(poly: LatticePolytope, dilation: int, interior: bool):
+    """Facet inequalities and bounding box of ``dilation * poly``.
+
+    With ``interior`` the inequalities are strict.
+    """
+    if dilation < 0:
+        raise ValueError("dilation must be nonnegative")
+    lo, hi = poly.bounding_box
+    shift = 1 if interior else 0
+    return (
+        [f.normal for f in poly.facets],
+        [f.height * dilation - shift for f in poly.facets],
+        tuple(c * dilation for c in lo),
+        tuple(c * dilation for c in hi),
+    )
+
+
 def lattice_points(poly: LatticePolytope, dilation: int = 1, interior: bool = False) -> int:
     """Exact number of lattice points of ``dilation * poly``.
 
@@ -301,31 +325,15 @@ def lattice_points(poly: LatticePolytope, dilation: int = 1, interior: bool = Fa
     with ``interior`` the inequalities are strict.  The cost grows with the
     box, so it depends on how the polytope is embedded.
     """
-    if dilation < 0:
-        raise ValueError("dilation must be nonnegative")
-    if dilation == 0:
-        return 0 if interior else 1
-    lo, hi = poly.bounding_box
-    lo = tuple(c * dilation for c in lo)
-    hi = tuple(c * dilation for c in hi)
-    shift = 1 if interior else 0
-    normals = [f.normal for f in poly.facets]
-    bounds = [f.height * dilation - shift for f in poly.facets]
-    return count_box_points(normals, bounds, lo, hi)
+    return count_box_points(*_dilated_system(poly, dilation, interior))
 
 
 def lattice_point_list(
     poly: LatticePolytope, dilation: int = 1, interior: bool = False
 ) -> list[Vec]:
-    """The lattice points of ``dilation * poly`` themselves (exact scan)."""
-    if dilation < 0:
-        raise ValueError("dilation must be nonnegative")
-    if dilation == 0:
-        return [] if interior else [(0, 0, 0)]
-    lo, hi = poly.bounding_box
-    lo = tuple(c * dilation for c in lo)
-    hi = tuple(c * dilation for c in hi)
-    shift = 1 if interior else 0
-    normals = [f.normal for f in poly.facets]
-    bounds = [f.height * dilation - shift for f in poly.facets]
-    return list_box_points(normals, bounds, lo, hi)
+    """The lattice points of ``dilation * poly`` themselves, by the same scan."""
+    return [
+        (x, y, z)
+        for x, y, zlo, zhi in box_columns(*_dilated_system(poly, dilation, interior))
+        for z in range(zlo, zhi + 1)
+    ]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -9,6 +11,8 @@ from conftest import (
     PYRAMID,
     RIGID_FIXTURE,
     TETRAHEDRON,
+    apply_matrix,
+    large_shear,
 )
 from fano3.criteria import (
     classify,
@@ -22,11 +26,14 @@ from fano3.criteria import (
     criterion_totaro_rigid,
     ext1_pushforward_degrees,
 )
-from fano3.intlinalg import dot
+from fano3.intlinalg import dot, extends_to_basis, solve_height_one
 from fano3.polygon import AM_TRIANGLE, STANDARD_TRIANGLE, classify_polygon, facet_to_polygon
 from fano3.polytope import convex_hull
 
 NOT_REFLEXIVE = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2))
+# Fano, not reflexive, with triangular facets and unitary edges, one of
+# which has no integral functional equal to 1 at both ends
+FANO_UNITARY_NOT_HEIGHT_ONE = ((-1, 1, -1), (-2, -1, -2), (0, 2, 1), (1, -2, 0))
 
 
 def hull(pts):
@@ -91,6 +98,30 @@ class TestTotaroRigid:
             if criterion_smooth(poly):
                 assert criterion_totaro_rigid(poly)
 
+    def test_each_edge_condition_blocks(self):
+        # triangular facets throughout; AFT_FIXTURE has an edge of lattice
+        # length 2, the other an edge off every height-one plane
+        assert not criterion_totaro_rigid(hull(AFT_FIXTURE))
+        assert not criterion_totaro_rigid(hull(FANO_UNITARY_NOT_HEIGHT_ONE))
+
+    def test_basis_edge_iff_unitary_height_one(self, reflexive_pool):
+        # the edge test both rigidity criteria share, against the pair of
+        # conditions the Totaro criterion states
+        rng = random.Random(0x7E57)
+        pool = random.Random(0xB0C5).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool + [FANO_UNITARY_NOT_HEIGHT_ONE]
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        outcomes = set()
+        for pts in inputs:
+            poly = hull(pts)
+            for i, (a, b) in enumerate(poly.edges):
+                va, vb = poly.vertices[a], poly.vertices[b]
+                unitary = poly.edge_lattice_length(i) == 1
+                height_one = solve_height_one(va, vb) is not None
+                assert extends_to_basis((va, vb)) == (unitary and height_one)
+                outcomes.add((unitary, height_one))
+        assert outcomes == {(True, True), (False, True), (True, False)}
+
 
 class TestRigidFace:
     def test_pyramid_no_witness(self):
@@ -106,8 +137,6 @@ class TestRigidFace:
         ]
 
     def test_witnesses_have_unitary_height_one_edges(self):
-        from fano3.intlinalg import solve_height_one
-
         for pts in NAMED_FANO.values():
             poly = hull(pts)
             for fi in criterion_rigid_face(poly):

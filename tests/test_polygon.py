@@ -293,7 +293,7 @@ class TestFacetToPolygon:
         for i, facet in enumerate(poly.facets):
             flat = facet_to_polygon(poly, i)
             lifted = {
-                flat.chart.lift(q)
+                facet.chart.lift(q)
                 for q in oracles.polygon_lattice_points(flat.vertices)
             }
             box = _facet_lattice_points(poly, facet)
@@ -312,10 +312,10 @@ class TestFacetToPolygon:
             for i, facet in enumerate(poly.facets):
                 flat = facet_to_polygon(poly, i)
                 originals = [poly.vertices[j] for j in facet.vertex_indices]
-                assert [flat.chart.lift(q) for q in flat.vertices] == originals
+                assert [facet.chart.lift(q) for q in flat.vertices] == originals
                 # b1, b2 lie in the facet plane and, with a height-one
                 # vertex, form a basis of Z^3, so they span its lattice
-                b1, b2 = flat.chart.basis
+                b1, b2 = facet.chart.basis
                 assert dot(facet.normal, b1) == dot(facet.normal, b2) == 0
                 assert facet.height == 1
                 assert abs(det3((originals[0], b1, b2))) == 1

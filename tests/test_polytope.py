@@ -1,7 +1,17 @@
+import random
+
 import pytest
 
 import oracles
-from conftest import CUBE, NAMED_FANO, OCTAHEDRON, PYRAMID, TETRAHEDRON
+from conftest import (
+    CUBE,
+    NAMED_FANO,
+    OCTAHEDRON,
+    PYRAMID,
+    TETRAHEDRON,
+    apply_matrix,
+    large_shear,
+)
 from fano3.intlinalg import cross, dot, vsub
 from fano3.polytope import (
     DegenerateInputError,
@@ -66,11 +76,26 @@ class TestConvexHull:
                 a, b = cyc[k], cyc[(k + 1) % len(cyc)]
                 assert (min(a, b), max(a, b)) in edge_set
 
-    def test_facet_cycles_counterclockwise_from_outside(self):
+    def test_facet_cycles_counterclockwise_from_outside(self, reflexive_pool):
+        rng = random.Random(0xCC1)
+        pool = random.Random(0xB0C5).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        # facet heights other than 1
+        inputs += [UNIT_SIMPLEX, [(x + 5, y - 7, z + 11) for x, y, z in CUBE]]
+        polys = [convex_hull(pts) for pts in inputs]
+        # the hull of all lattice points of a fixture has non-vertex points
+        # on its facets and edges, which the facet cycles must leave out
         for pts in NAMED_FANO.values():
-            poly = convex_hull(pts)
+            fixture = convex_hull(pts)
+            full = convex_hull(lattice_point_list(fixture))
+            assert set(full.vertices) == set(fixture.vertices)
+            assert [f.normal for f in full.facets] == [f.normal for f in fixture.facets]
+            polys.append(full)
+        for poly in polys:
             for facet in poly.facets:
                 cyc = [poly.vertices[i] for i in facet.vertex_indices]
+                assert [facet.chart.lift(q) for q in facet.polygon.vertices] == cyc
                 for k in range(len(cyc)):
                     a, b, c = cyc[k], cyc[(k + 1) % len(cyc)], cyc[(k + 2) % len(cyc)]
                     turn = cross(vsub(b, a), vsub(c, b))
@@ -205,10 +230,15 @@ class TestLatticePoints:
     def test_point_list_matches_count(self):
         poly = convex_hull(PYRAMID)
         pts = lattice_point_list(poly, 2)
-        assert len(pts) == lattice_points(poly, 2)
+        assert len(pts) == oracles.brute_count(PYRAMID, 2)
         assert len(set(pts)) == len(pts)
         for f in poly.facets:
             assert all(dot(f.normal, p) <= 2 * f.height for p in pts)
+        # the interior of 2P holds the points of P, since P is reflexive
+        assert len(lattice_point_list(poly, 2, interior=True)) == oracles.brute_count(PYRAMID, 1)
+        assert lattice_point_list(poly, 0) == [(0, 0, 0)]
+        assert lattice_point_list(poly, 0, interior=True) == []
+        assert lattice_points(poly, 0, interior=True) == 0
 
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):
