@@ -28,7 +28,7 @@ class InputError(Exception):
     pass
 
 
-def _load_records(path: str, format: str, strict: bool, sidecar: str | None):
+def _load_records(path: str, format: str, sidecar: str | None):
     if format == "auto":
         format = "json" if path.endswith(".json") else "palp"
     try:
@@ -38,7 +38,7 @@ def _load_records(path: str, format: str, strict: bool, sidecar: str | None):
             return db.parse_json(path)
         ids = db.load_id_sidecar(sidecar) if sidecar else None
         with open(path) as fh:
-            return db.parse_palp(fh, strict=strict, ids=ids)
+            return db.parse_palp(fh, ids=ids)
     except (OSError, DatabaseFormatError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -66,23 +66,15 @@ def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
 
 
 def _computed_lists(reports) -> dict[str, list[int]]:
-    out = {name: [] for name in db.LIST_NAMES}
-    for rep in reports:
-        if not rep.reflexive:
-            continue
-        if rep.smooth:
-            out["L_smooth"].append(rep.polytope_id)
-        if rep.isolated_singular:
-            out["L_isol"].append(rep.polytope_id)
-        if rep.nodes:
-            out["L_nodes"].append(rep.polytope_id)
-        if rep.low_degree:
-            out["L_low"].append(rep.polytope_id)
-        if rep.indec_obstruction:
-            out["L_indec"].append(rep.polytope_id)
-        if rep.aft_obstruction:
-            out["L_aft"].append(rep.polytope_id)
-    return {name: sorted(ids) for name, ids in out.items()}
+    """Sorted ids per list; a non-reflexive report's verdicts are None."""
+    return {
+        name: sorted(rep.polytope_id for rep in reports if getattr(rep, verdict))
+        for name, verdict in db.LIST_VERDICTS
+    }
+
+
+def _union_size(lists) -> int:
+    return len(set(lists["L_indec"]) | set(lists["L_aft"]))
 
 
 def _check_mmax(m_max: int) -> None:
@@ -99,7 +91,7 @@ def _write_output(path: str, write) -> None:
 
 def cmd_classify(args) -> int:
     _check_mmax(args.mmax)
-    records = _load_records(args.input, args.format, args.strict, args.sidecar)
+    records = _load_records(args.input, args.format, args.sidecar)
     reports = _classify_all(records, args.jobs, args.mmax)
     _write_output(
         args.out, lambda path: db.write_reports(reports, path, format=args.report)
@@ -109,12 +101,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lists(args) -> int:
-    records = _load_records(args.input, args.format, args.strict, args.sidecar)
+    records = _load_records(args.input, args.format, args.sidecar)
     reports = _classify_all(records, args.jobs, 0)
-    lists = _computed_lists(reports)
-    union = sorted(set(lists["L_indec"]) | set(lists["L_aft"]))
-    payload = dict(lists)
-    payload["union_indec_aft"] = len(union)
+    payload = _computed_lists(reports)
+    payload["union_indec_aft"] = _union_size(payload)
     text = json.dumps(payload, indent=1) + "\n"
     if args.out:
         _write_output(args.out, lambda path: Path(path).write_text(text))
@@ -145,7 +135,7 @@ def _diff_line(name, computed: set[int], expected: set[int], full: bool) -> tupl
 
 
 def cmd_verify(args) -> int:
-    records = _load_records(args.input, args.format, args.strict, args.sidecar)
+    records = _load_records(args.input, args.format, args.sidecar)
     reports = _classify_all(records, args.jobs, 0)
     lists = _computed_lists(reports)
     try:
@@ -161,15 +151,14 @@ def cmd_verify(args) -> int:
         line, ok = _diff_line(name, set(lists[name]), set(expected[name]), args.full)
         print(line)
         all_match = all_match and ok
-    union = set(lists["L_indec"]) | set(lists["L_aft"])
-    print(f"|L_indec u L_aft| = {len(union)}")
+    print(f"|L_indec u L_aft| = {_union_size(lists)}")
     print("all lists match" if all_match else "MISMATCH")
     return 0 if all_match else 1
 
 
 def cmd_inspect(args) -> int:
     _check_mmax(args.mmax)
-    records = _load_records(args.input, args.format, args.strict, args.sidecar)
+    records = _load_records(args.input, args.format, args.sidecar)
     matches = [rec for rec in records if rec.id == args.id]
     if not matches:
         raise InputError(f"no polytope with id {args.id}")
@@ -226,9 +215,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
         choices=("auto", "palp", "json"),
         default="auto",
         help="input format (auto: json for *.json, palp otherwise)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="reject ambiguous 3x3 palp blocks"
     )
     parser.add_argument(
         "--sidecar", default=None, help="JSON id sidecar for palp input"

@@ -33,12 +33,21 @@ def _load_json(path):
         raise DatabaseFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _is_id(value) -> bool:
-    """Ids are ints; bools are ints to Python but not ids."""
+def _is_int(value) -> bool:
+    """A JSON integer: ids and coordinates are ints, and bools are not ints here."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-LIST_NAMES = ("L_smooth", "L_isol", "L_nodes", "L_low", "L_indec", "L_aft")
+# each list with the report verdict that puts a polytope in it
+LIST_VERDICTS = (
+    ("L_smooth", "smooth"),
+    ("L_isol", "isolated_singular"),
+    ("L_nodes", "nodes"),
+    ("L_low", "low_degree"),
+    ("L_indec", "indec_obstruction"),
+    ("L_aft", "aft_obstruction"),
+)
+LIST_NAMES = tuple(name for name, _ in LIST_VERDICTS)
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,13 @@ class ExpectedLists:
         return tuple(n for n in LIST_NAMES if n in self.lists)
 
 
-def parse_palp(stream, strict: bool = False, ids: list[int] | None = None) -> list[PolytopeRecord]:
+def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
     """Parse a PALP-style vertex stream into records.
 
     The header may carry extra tokens after the two dimensions (they are
-    ignored).  A 3 x 3 block is read column-wise; with ``strict`` such
-    ambiguous blocks are rejected instead.  ``ids`` overrides the 1-based
-    file-order numbering.
+    ignored).  A 3 x 3 block is read column-wise; it holds three points
+    either way, so it is never a 3-polytope and the hull rejects it.
+    ``ids`` overrides the 1-based file-order numbering.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -88,8 +97,6 @@ def parse_palp(stream, strict: bool = False, ids: list[int] | None = None) -> li
             raise DatabaseFormatError(f"record {index}: bad shape {r}x{c}")
         if 3 not in (r, c):
             raise DatabaseFormatError(f"record {index}: no dimension-3 axis in {r}x{c}")
-        if r == c == 3 and strict:
-            raise DatabaseFormatError(f"record {index}: ambiguous 3x3 block in strict mode")
         if pos + r > len(lines):
             raise DatabaseFormatError(f"record {index}: truncated matrix")
         rows = []
@@ -126,7 +133,7 @@ def load_id_sidecar(path) -> list[int]:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("ids")
-    if not isinstance(data, list) or not all(_is_id(i) for i in data):
+    if not isinstance(data, list) or not all(_is_int(i) for i in data):
         raise DatabaseFormatError("sidecar must be a JSON array of integer ids")
     return data
 
@@ -149,13 +156,13 @@ def parse_json(path) -> list[PolytopeRecord]:
         try:
             pid = entry["id"]
             verts = entry["vertices"]
-            if not _is_id(pid):
+            if not _is_int(pid):
                 raise TypeError("id must be an integer")
-            vertices = tuple(
-                tuple(int(c) for c in v) for v in verts
-            )
+            vertices = tuple(tuple(v) for v in verts)
             if not vertices or any(len(v) != 3 for v in vertices):
                 raise ValueError("vertices must be nonempty 3-vectors")
+            if not all(_is_int(c) for v in vertices for c in v):
+                raise TypeError("coordinates must be integers")
         except (KeyError, TypeError, ValueError) as exc:
             raise DatabaseFormatError(f"record {i}: {exc}") from exc
         records.append(PolytopeRecord(id=pid, vertices=vertices))
@@ -181,7 +188,7 @@ def load_expected_lists(path) -> ExpectedLists:
     for name, ids in data.items():
         if name not in LIST_NAMES:
             raise DatabaseFormatError(f"unknown list name {name!r}")
-        if not isinstance(ids, list) or not all(_is_id(i) for i in ids):
+        if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
             raise DatabaseFormatError(f"list {name} must hold integer ids")
         lists[name] = frozenset(ids)
     return ExpectedLists(lists=lists)

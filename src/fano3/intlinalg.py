@@ -8,6 +8,7 @@ the classical algorithms are used throughout with no attempt at optimisation.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
 Vec = tuple[int, ...]
@@ -256,17 +257,23 @@ def smith_normal_form(m: Mat) -> tuple[list[int], Mat, Mat]:
 def extends_to_basis(vs: tuple[Vec, ...] | list[Vec]) -> bool:
     """Whether the given vectors can be completed to a basis of Z^n.
 
-    Decided by the elementary divisors: the k x n matrix of the vectors must
-    have Smith normal form with k ones on the diagonal.
+    k vectors extend to a basis exactly when the gcd of the k x k minors of
+    their k x n matrix is 1.  For two vectors a, b of Z^3 those minors are
+    the entries of a x b, so the test reads content(a x b) == 1.
     """
     vs = tuple(vs)
     if not vs:
         raise ValueError("need at least one vector")
     n = len(vs[0])
+    if any(len(v) != n for v in vs):
+        raise ValueError("vectors of different lengths")
     if len(vs) > n:
         raise ValueError(f"{len(vs)} vectors can not be part of a basis of Z^{n}")
-    diag, _, _ = smith_normal_form(vs)
-    return all(d == 1 for d in diag)
+    minors = (
+        det(tuple(tuple(v[c] for c in cols) for v in vs))
+        for cols in combinations(range(n), len(vs))
+    )
+    return content(minors) == 1
 
 
 def solve_height_one(v1: Vec, v2: Vec) -> Vec | None:

@@ -13,7 +13,7 @@ edge vectors that closes up to zero, taken in the same cyclic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -57,10 +57,15 @@ class LatticePolygon:
     """A polygon (or segment, or point) in Z^2 given by its vertex cycle.
 
     Vertices are listed in boundary order and must be in strictly convex
-    position; segments carry their two endpoints.
+    position; segments carry their two endpoints.  ``edges`` holds the
+    (primitive direction, lattice length) of each boundary step, computed
+    once on construction; a segment is traversed there and back, so it has
+    a pair of opposite directions, and a point has no edges.  Equality,
+    hashing and repr depend on the vertices alone.
     """
 
     vertices: tuple[Vec2, ...]
+    edges: tuple[tuple[Vec2, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(tuple(v) for v in self.vertices)
@@ -69,39 +74,26 @@ class LatticePolygon:
             raise ValueError("polygon needs at least one vertex")
         if len(vs) != len(set(vs)):
             raise ValueError("repeated vertex in polygon")
-        if len(vs) >= 3:
-            k = len(vs)
-            signs = set()
-            for i in range(k):
-                a, b, c = vs[i], vs[(i + 1) % k], vs[(i + 2) % k]
-                s = det2(vsub(b, a), vsub(c, b))
-                if s == 0:
-                    raise ValueError("vertices are not in strictly convex position")
-                signs.add(s > 0)
-            if len(signs) != 1:
+        # one walk around the cycle: the edge steps, and the turn between
+        # consecutive steps for the convexity check; a point has no steps,
+        # and a segment's two opposite steps make no turn
+        k = len(vs)
+        edges = []
+        turns = set()
+        prev = vsub(vs[0], vs[-1])
+        for i in range(k if k > 1 else 0):
+            d = vsub(vs[(i + 1) % k], vs[i])
+            g = gcd(d[0], d[1])
+            edges.append(((d[0] // g, d[1] // g), g))
+            s = det2(prev, d)
+            turns.add((s > 0) - (s < 0))
+            prev = d
+        if k >= 3:
+            if 0 in turns:
+                raise ValueError("vertices are not in strictly convex position")
+            if len(turns) != 1:
                 raise ValueError("vertex cycle is not convex")
-
-    @property
-    def edges(self) -> tuple[tuple[Vec2, int], ...]:
-        """(primitive direction, lattice length) per boundary edge.
-
-        A segment is traversed there and back, so it contributes a pair of
-        opposite directions; a point has no edges.
-        """
-        vs = self.vertices
-        if len(vs) == 1:
-            return ()
-        if len(vs) == 2:
-            d = vsub(vs[1], vs[0])
-            g = gcd(d[0], d[1])
-            p = (d[0] // g, d[1] // g)
-            return ((p, g), ((-p[0], -p[1]), g))
-        out = []
-        for i in range(len(vs)):
-            d = vsub(vs[(i + 1) % len(vs)], vs[i])
-            g = gcd(d[0], d[1])
-            out.append(((d[0] // g, d[1] // g), g))
-        return tuple(out)
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def area2(self) -> int:
@@ -125,9 +117,6 @@ class LatticePolygon:
         if len(self.vertices) < 3:
             return 0
         return (self.area2 - self.boundary_points + 2) // 2
-
-    def translated(self, t: Vec2) -> "LatticePolygon":
-        return LatticePolygon(tuple((v[0] + t[0], v[1] + t[1]) for v in self.vertices))
 
 
 def translation_key(poly: LatticePolygon) -> tuple[Vec2, ...]:
@@ -217,19 +206,23 @@ def classify_polygon(poly: LatticePolygon) -> PolygonClass:
     A standard triangle is a triangle of normalized area 1; a standard square
     is a quadrilateral whose only lattice points are its four vertices; an
     A_m-triangle (m >= 1) is an empty triangle with edge lengths 1, 1, m+1.
+    By Pick's formula a triangle has normalized area 1 exactly when it is
+    empty with edge lengths 1, 1, 1, so the edge lengths and the interior
+    count decide all three.
     """
     k = len(poly.vertices)
     lengths = edge_lattice_lengths(poly)
     interior = poly.interior_points
     kind = OTHER
     m = None
-    if k == 3 and poly.area2 == 1:
-        kind = STANDARD_TRIANGLE
-    elif k == 4 and interior == 0 and all(l == 1 for l in lengths):
+    if k == 3 and interior == 0 and lengths[1] == 1:
+        if lengths[2] == 1:
+            kind = STANDARD_TRIANGLE
+        else:
+            kind = AM_TRIANGLE
+            m = lengths[2] - 1
+    elif k == 4 and interior == 0 and lengths[3] == 1:
         kind = STANDARD_SQUARE
-    elif k == 3 and interior == 0 and lengths[0] == 1 and lengths[1] == 1 and lengths[2] >= 2:
-        kind = AM_TRIANGLE
-        m = lengths[2] - 1
     return PolygonClass(
         kind=kind,
         m=m,

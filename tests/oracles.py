@@ -199,3 +199,24 @@ def agl2_equivalent(vs, ws) -> bool:
             ):
                 return True
     return False
+
+
+def polygon_edges(vertices):
+    """(primitive direction, lattice length) of each step around a vertex cycle.
+
+    The length is the largest t dividing both coordinates of the step, found
+    by trying every t downwards.  A segment is walked there and back; a point
+    has no steps.
+    """
+    vs = [tuple(v) for v in vertices]
+    if len(vs) == 1:
+        return ()
+    out = []
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        d = _sub(b, a)
+        t = next(
+            t for t in range(max(abs(d[0]), abs(d[1])), 0, -1)
+            if d[0] % t == 0 and d[1] % t == 0
+        )
+        out.append(((d[0] // t, d[1] // t), t))
+    return tuple(out)

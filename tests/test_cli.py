@@ -135,6 +135,24 @@ class TestListsCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
+    @pytest.mark.parametrize("coordinate", [1.7, "1", True])
+    def test_non_integer_coordinate_is_input_error(self, tmp_path, capsys, coordinate):
+        verts = [[coordinate, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps([{"id": 1, "vertices": verts}]))
+        assert main(["lists", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: record 0: coordinates must be integers"]
+
+    def test_square_palp_block_is_input_error(self, tmp_path, capsys):
+        # three points under either reading of the block: never a 3-polytope
+        palp = tmp_path / "square.txt"
+        palp.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")
+        assert main(["lists", str(palp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: polytope 1: ")
+
     def test_empty_database(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("[]")

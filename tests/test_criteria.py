@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import fano3.intlinalg
+import fano3.polygon
 from conftest import (
     AFT_FIXTURE,
     CUBE,
@@ -316,3 +318,17 @@ class TestClassify:
         ):
             with pytest.raises(ValueError):
                 fn(poly)
+
+    def test_runs_no_smith_normal_form(self, reflexive_pool, monkeypatch):
+        # the basis test reads coprime minors; the Smith normal form is only
+        # the tests' reference and must stay off the classify path
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran a Smith normal form")
+
+        for module in (fano3.intlinalg, fano3.polygon):
+            monkeypatch.setattr(module, "smith_normal_form", refuse)
+        pool = random.Random(0x5A1F).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE]
+        for pts in inputs:
+            classify(hull(pts))

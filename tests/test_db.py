@@ -46,11 +46,6 @@ class TestParsePalp:
         records = db.parse_palp(text)
         assert records[0].vertices == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    def test_square_block_strict_mode(self):
-        text = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
-        with pytest.raises(db.DatabaseFormatError):
-            db.parse_palp(text, strict=True)
-
     def test_empty_stream(self):
         assert db.parse_palp("") == []
 
@@ -93,6 +88,20 @@ class TestJsonRecords:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"id": 1, "vertices": [[1, 0]]}]))
         with pytest.raises(db.DatabaseFormatError, match="record 0"):
+            db.parse_json(path)
+
+    @pytest.mark.parametrize("coordinate", [1.7, "1", True])
+    def test_non_integer_coordinate_rejected(self, tmp_path, coordinate):
+        path = tmp_path / "coords.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"id": 1, "vertices": [list(v) for v in TETRAHEDRON]},
+                    {"id": 2, "vertices": [[coordinate, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]},
+                ]
+            )
+        )
+        with pytest.raises(db.DatabaseFormatError, match="record 1: coordinates must be integers"):
             db.parse_json(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):

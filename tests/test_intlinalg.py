@@ -101,6 +101,24 @@ class TestExtendsToBasis:
         with pytest.raises(ValueError):
             extends_to_basis(((1, 0), (0, 1), (1, 1)))
 
+    def test_no_vectors(self):
+        with pytest.raises(ValueError):
+            extends_to_basis(())
+
+    @pytest.mark.parametrize(
+        "vs", [((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0), (0, 0))]
+    )
+    def test_ragged_input(self, vs):
+        with pytest.raises(ValueError):
+            extends_to_basis(vs)
+
+    @given(st.one_of(matrices(1, 3), matrices(2, 3), matrices(3, 3), matrices(2, 2)))
+    @settings(max_examples=400)
+    def test_agrees_with_smith_normal_form(self, vs):
+        # the elementary divisors stay the reference for the minors test
+        diag, _, _ = smith_normal_form(vs)
+        assert extends_to_basis(vs) == all(d == 1 for d in diag)
+
     @given(matrices(2, 3), matrices(3, 3))
     @settings(max_examples=200)
     def test_invariant_under_unimodular(self, vs, u):

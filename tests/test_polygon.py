@@ -57,6 +57,28 @@ class TestPolygonBasics:
             total[1] += length * dy
         assert total == [0, 0]
 
+    def test_edges_match_oracle(self):
+        rng = random.Random(0xED6E)
+        cycles = [((rng.randint(-9, 9), rng.randint(-9, 9)),) for _ in range(20)]
+        while len(cycles) < 320:
+            pts = {(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(2, 9))}
+            cycle = oracles.jarvis_hull_2d(pts)
+            if len(cycle) >= 2:
+                cycles += [tuple(cycle), tuple(reversed(cycle))]
+        kinds = set()
+        for cycle in cycles:
+            poly = LatticePolygon(cycle)
+            assert poly.edges == oracles.polygon_edges(cycle)
+            kinds.add(min(len(cycle), 3))
+        assert kinds == {1, 2, 3}
+
+    def test_equality_and_hash_read_vertices_only(self):
+        a = LatticePolygon(PENTAGON)
+        b = LatticePolygon([list(v) for v in PENTAGON])
+        assert a == b and hash(a) == hash(b)
+        assert a != LatticePolygon(PENTAGON[1:] + PENTAGON[:1])
+        assert repr(a) == f"LatticePolygon(vertices={PENTAGON!r})"
+
     def test_hull_2d_drops_inner_points(self):
         poly = convex_hull_2d([(0, 0), (3, 0), (0, 3), (1, 1), (1, 0), (2, 0)])
         assert set(poly.vertices) == {(0, 0), (3, 0), (0, 3)}
@@ -106,6 +128,39 @@ class TestClassify:
         assert cls.edge_lengths == (1, 1, 4)
         assert cls.interior_points == 2
         assert cls.kind == OTHER
+
+    def test_kind_matches_definition(self):
+        # the definitions by area and lattice points, against the tags the
+        # classifier derives from edge lengths and the interior count
+        rng = random.Random(0xC1A5)
+        cycles = [UNIT_SQUARE, ((0, 0), (1, 0), (3, 1), (2, 1))]
+        for _ in range(600):
+            pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))}
+            cycles.append(oracles.jarvis_hull_2d(pts))
+        seen = set()
+        for cycle in cycles:
+            if len(cycle) < 3:
+                continue
+            cls = classify_polygon(LatticePolygon(cycle))
+            points = oracles.polygon_lattice_points(cycle)
+            inside = {p for p in points if _strictly_inside(cycle, p)}
+            area2 = abs(sum(
+                cycle[i][0] * cycle[(i + 1) % len(cycle)][1]
+                - cycle[(i + 1) % len(cycle)][0] * cycle[i][1]
+                for i in range(len(cycle))
+            ))
+            lengths = sorted(t for _, t in oracles.polygon_edges(cycle))
+            expected = OTHER
+            if len(cycle) == 3 and area2 == 1:
+                expected = STANDARD_TRIANGLE
+            elif len(cycle) == 4 and len(points) == 4:
+                expected = STANDARD_SQUARE
+            elif len(cycle) == 3 and not inside and lengths[:2] == [1, 1] and lengths[2] >= 2:
+                expected = AM_TRIANGLE
+                assert cls.m == lengths[2] - 1
+            assert cls.kind == expected
+            seen.add(expected)
+        assert seen == {STANDARD_TRIANGLE, STANDARD_SQUARE, AM_TRIANGLE, OTHER}
 
     def test_descriptors_match_brute_force(self):
         for verts in (UNIT_SQUARE, UNIT_TRIANGLE, am_triangle(3), PENTAGON):
