@@ -19,8 +19,8 @@ from pathlib import Path
 from . import db
 from .criteria import ClassificationReport, classify
 from .lift import minkowski_lift
-from .polygon import facet_to_polygon, maximal_decompositions
-from .polytope import DegenerateInputError, convex_hull
+from .polygon import maximal_decompositions
+from .polytope import convex_hull
 from .db import DatabaseFormatError
 
 
@@ -37,8 +37,10 @@ def _load_records(path: str, format: str, sidecar: str | None):
                 raise InputError("id sidecars apply to palp input only")
             return db.parse_json(path)
         ids = db.load_id_sidecar(sidecar) if sidecar else None
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return db.parse_palp(fh, ids=ids)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
     except (OSError, DatabaseFormatError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -48,7 +50,7 @@ def _classify_record(args) -> ClassificationReport:
     try:
         poly = convex_hull(record.vertices)
         return classify(poly, polytope_id=record.id, m_max=m_max)
-    except (DegenerateInputError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"polytope {record.id}: {exc}") from exc
 
 
@@ -104,7 +106,7 @@ def cmd_lists(args) -> int:
     records = _load_records(args.input, args.format, args.sidecar)
     reports = _classify_all(records, args.jobs, 0)
     payload = _computed_lists(reports)
-    payload["union_indec_aft"] = _union_size(payload)
+    payload[db.UNION_KEY] = _union_size(payload)
     text = json.dumps(payload, indent=1) + "\n"
     if args.out:
         _write_output(args.out, lambda path: Path(path).write_text(text))
@@ -147,11 +149,16 @@ def cmd_verify(args) -> int:
     except (OSError, DatabaseFormatError) as exc:
         raise InputError(str(exc)) from exc
     all_match = True
-    for name in expected.names():
-        line, ok = _diff_line(name, set(lists[name]), set(expected[name]), args.full)
-        print(line)
-        all_match = all_match and ok
-    print(f"|L_indec u L_aft| = {_union_size(lists)}")
+    for name, ids in expected.items():
+        if name in lists:
+            line, ok = _diff_line(name, set(lists[name]), ids, args.full)
+            print(line)
+            all_match = all_match and ok
+    union = _union_size(lists)
+    print(f"|L_indec u L_aft| = {union}")
+    if db.UNION_KEY in expected and expected[db.UNION_KEY] != union:
+        print(f"{db.UNION_KEY}: computed {union}, expected {expected[db.UNION_KEY]}")
+        all_match = False
     print("all lists match" if all_match else "MISMATCH")
     return 0 if all_match else 1
 
@@ -166,44 +173,26 @@ def cmd_inspect(args) -> int:
     try:
         poly = convex_hull(record.vertices)
         report = classify(poly, polytope_id=record.id, m_max=args.mmax)
-    except (DegenerateInputError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"polytope {record.id}: {exc}") from exc
 
     print(f"polytope {record.id}")
     print(f"  vertices ({len(poly.vertices)}):")
     for v in poly.vertices:
         print(f"    {v}")
-    print(f"  reflexive: {report.reflexive}")
-    print(f"  degree: {report.degree}  hilbert: {report.hilbert}")
     print("  edge lattice lengths:", [poly.edge_lattice_length(i) for i in range(len(poly.edges))])
-    verdicts = {
-        "smooth": report.smooth,
-        "isolated_singular": report.isolated_singular,
-        "nodes": report.nodes,
-        "totaro_rigid": report.totaro_rigid,
-        "rigid_face_obstruction": report.rigid_face_obstruction,
-        "indec_obstruction": report.indec_obstruction,
-        "aft_obstruction": report.aft_obstruction,
-        "low_degree": report.low_degree,
-    }
-    print("  verdicts:", verdicts)
-    if report.rigid_face_witnesses:
-        print("  rigid-face witnesses:", list(report.rigid_face_witnesses))
-    if report.indec_witnesses:
-        print("  indecomposable-facet witnesses:", list(report.indec_witnesses))
-    if report.aft_witnesses:
-        print("  almost-flat pair witnesses:", [list(p) for p in report.aft_witnesses])
+    for key, value in report.to_dict().items():
+        print(f"  {key}: {json.dumps(value)}")
     for fi, facet in enumerate(poly.facets):
         cls = report.facet_classes[fi]
-        polygon = facet_to_polygon(poly, fi)
         print(f"  facet {fi}: {cls.label()}  normal {facet.normal} height {facet.height}")
         print(f"    cycle: {[poly.vertices[i] for i in facet.vertex_indices]}")
-        decs = maximal_decompositions(polygon)
+        decs = maximal_decompositions(facet.polygon)
         for di, dec in enumerate(decs):
             parts = [list(s.vertices) for s in dec.summands]
             print(f"    maximal decomposition {di}: {parts}")
             if args.lift:
-                cone = minkowski_lift(polygon, dec)
+                cone = minkowski_lift(facet.polygon, dec)
                 print(f"      lifted rays: {[list(r) for r in cone.rays]}")
     return 0
 

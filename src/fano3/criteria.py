@@ -7,15 +7,17 @@ facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
 Every facet is flattened once, by ``polytope.convex_hull``, and classified
-once per polytope, into a facet table.  Each verdict lives in one private
-helper that reads the table; the public ``criterion_*`` functions build the
-table and call that helper, and ``classify`` builds it once and calls all
-of them.
+once per polytope, into a facet table.  Each table-based verdict lives in
+one private helper; a public ``criterion_*`` function builds the table and
+calls its helper.  ``classify`` builds the table once and calls the helpers
+itself.  The two criteria that read vertices and edges rather than the
+table, ``criterion_rigid_face`` and ``criterion_totaro_rigid``, are the only
+public criteria it calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .intlinalg import (
     det3,
@@ -46,50 +48,57 @@ from .polytope import (
 LOW_DEGREES = frozenset({4, 6, 8, 10, 12})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClassificationReport:
     """All verdicts, witnesses and invariants of one polytope.
 
-    Criteria that only make sense on a reflexive polytope are None when the
-    polytope is Fano but not reflexive.
+    Criteria that only make sense on a reflexive polytope keep their
+    defaults, None or no witnesses, when the polytope is Fano but not
+    reflexive.  ``to_dict`` is the report row: one key per field, in
+    declaration order.
     """
 
-    polytope_id: int
+    polytope_id: int = field(metadata={"key": "id"})
     reflexive: bool
     facet_classes: tuple[PolygonClass, ...]
-    smooth: bool | None
-    isolated_singular: bool | None
-    nodes: bool | None
+    smooth: bool | None = None
+    isolated_singular: bool | None = None
+    nodes: bool | None = None
     totaro_rigid: bool
     rigid_face_obstruction: bool
-    indec_obstruction: bool | None
-    aft_obstruction: bool | None
-    low_degree: bool | None
+    indec_obstruction: bool | None = None
+    aft_obstruction: bool | None = None
+    low_degree: bool | None = None
     rigid_face_witnesses: tuple[int, ...]
-    indec_witnesses: tuple[int, ...]
-    aft_witnesses: tuple[tuple[int, int], ...]
-    degree: int | None
-    hilbert: tuple[int, ...] | None = field(default=None)
+    indec_witnesses: tuple[int, ...] = ()
+    aft_witnesses: tuple[tuple[int, int], ...] = ()
+    degree: int | None = None
+    hilbert: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.polytope_id,
-            "reflexive": self.reflexive,
-            "facet_classes": [cls.label() for cls in self.facet_classes],
-            "smooth": self.smooth,
-            "isolated_singular": self.isolated_singular,
-            "nodes": self.nodes,
-            "totaro_rigid": self.totaro_rigid,
-            "rigid_face_obstruction": self.rigid_face_obstruction,
-            "indec_obstruction": self.indec_obstruction,
-            "aft_obstruction": self.aft_obstruction,
-            "low_degree": self.low_degree,
-            "rigid_face_witnesses": list(self.rigid_face_witnesses),
-            "indec_witnesses": list(self.indec_witnesses),
-            "aft_witnesses": [list(p) for p in self.aft_witnesses],
-            "degree": self.degree,
-            "hilbert": list(self.hilbert) if self.hilbert is not None else None,
-        }
+        row = {}
+        for key, name in _REPORT_KEYS:
+            value = getattr(self, name)
+            row[key] = _json_list(value) if type(value) is tuple else value
+        return row
+
+
+def _json_list(items: tuple) -> list:
+    """A tuple field as JSON: facet classes by label, pairs as lists.
+
+    The tuples are homogeneous, so the first item tells the element type.
+    """
+    if not items or type(items[0]) is int:
+        return list(items)
+    if type(items[0]) is PolygonClass:
+        return [item.label() for item in items]
+    return [list(item) for item in items]
+
+
+# (JSON key, field name) of every report field, in declaration order
+_REPORT_KEYS = tuple(
+    (f.metadata.get("key", f.name), f.name) for f in fields(ClassificationReport)
+)
 
 
 def _require_reflexive(poly: LatticePolytope) -> None:
@@ -311,20 +320,7 @@ def classify(
         rigid_face_witnesses=rigid_witnesses,
     )
     if not is_reflexive(poly):
-        return ClassificationReport(
-            **common,
-            reflexive=False,
-            smooth=None,
-            isolated_singular=None,
-            nodes=None,
-            indec_obstruction=None,
-            aft_obstruction=None,
-            low_degree=None,
-            indec_witnesses=(),
-            aft_witnesses=(),
-            degree=None,
-            hilbert=None,
-        )
+        return ClassificationReport(**common, reflexive=False)
     indec_witnesses = tuple(_indec_witnesses(table))
     aft_witnesses = tuple(_aft_witnesses(poly, classes))
     deg = _degree(poly)

@@ -27,8 +27,10 @@ class DatabaseFormatError(ValueError):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DatabaseFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -48,25 +50,14 @@ LIST_VERDICTS = (
     ("L_aft", "aft_obstruction"),
 )
 LIST_NAMES = tuple(name for name, _ in LIST_VERDICTS)
+# the size of L_indec u L_aft, written by ``fano3 lists`` next to the lists
+UNION_KEY = "union_indec_aft"
 
 
 @dataclass(frozen=True)
 class PolytopeRecord:
     id: int
     vertices: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
-class ExpectedLists:
-    """Named ID sets to verify a classification run against."""
-
-    lists: dict[str, frozenset[int]]
-
-    def __getitem__(self, name: str) -> frozenset[int]:
-        return self.lists[name]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n in LIST_NAMES if n in self.lists)
 
 
 def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
@@ -179,30 +170,41 @@ def write_records(records, path) -> None:
         fh.write("\n")
 
 
-def load_expected_lists(path) -> ExpectedLists:
-    """Read named ID sets; any subset of the six known names may be present."""
-    data = _load_json(path)
+def _check_lists(data) -> dict:
+    """Named id sets in LIST_NAMES order, then the union size if given.
+
+    Any subset of the six lists may be present; the union size, as
+    ``fano3 lists`` writes it, must be a JSON integer.
+    """
     if not isinstance(data, dict):
         raise DatabaseFormatError("expected-lists file must be a JSON object")
-    lists = {}
     for name, ids in data.items():
-        if name not in LIST_NAMES:
+        if name == UNION_KEY:
+            if not _is_int(ids):
+                raise DatabaseFormatError(f"{UNION_KEY} must be an integer")
+        elif name not in LIST_NAMES:
             raise DatabaseFormatError(f"unknown list name {name!r}")
-        if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
+        elif not isinstance(ids, list) or not all(_is_int(i) for i in ids):
             raise DatabaseFormatError(f"list {name} must hold integer ids")
-        lists[name] = frozenset(ids)
-    return ExpectedLists(lists=lists)
+    lists = {name: frozenset(data[name]) for name in LIST_NAMES if name in data}
+    if UNION_KEY in data:
+        lists[UNION_KEY] = data[UNION_KEY]
+    return lists
 
 
-def reference_lists() -> ExpectedLists:
+def load_expected_lists(path) -> dict:
+    """Read named id sets, e.g. the output of ``fano3 lists``."""
+    return _check_lists(_load_json(path))
+
+
+def reference_lists() -> dict:
     """The published classification of the 4319 reflexive 3-polytopes.
 
     ID sets in Graded Ring Database numbering, bundled with the package for
     use as the default target of the verify command.
     """
     text = resources.files("fano3").joinpath("data/expected_lists.json").read_text()
-    data = json.loads(text)
-    return ExpectedLists(lists={k: frozenset(v) for k, v in data.items()})
+    return _check_lists(json.loads(text))
 
 
 CSV_COLUMNS = (

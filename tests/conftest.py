@@ -38,6 +38,12 @@ NAMED_FANO = {
     "rigid": RIGID_FIXTURE,
 }
 
+# Fano but not reflexive: one facet sits at height 2
+NOT_REFLEXIVE = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2))
+# Fano, not reflexive, with triangular facets and unitary edges, one of
+# which has no integral functional equal to 1 at both ends
+FANO_UNITARY_NOT_HEIGHT_ONE = ((-1, 1, -1), (-2, -1, -2), (0, 2, 1), (1, -2, 0))
+
 POOL_SIZE = 200
 
 

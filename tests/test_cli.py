@@ -203,12 +203,50 @@ class TestVerifyCommand:
         exp.write_text("oops")
         assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
 
+    def test_lists_output_round_trips(self, db_path, tmp_path, capsys):
+        lists = tmp_path / "lists.json"
+        assert main(["lists", str(db_path), "--out", str(lists)]) == 0
+        assert main(["verify", str(db_path), "--expected", str(lists)]) == 0
+        assert "all lists match" in capsys.readouterr().out
+
+    def test_union_size_mismatch(self, db_path, tmp_path, capsys):
+        exp = tmp_path / "expected.json"
+        exp.write_text(json.dumps({**self.expected(), "union_indec_aft": 3}))
+        assert main(["verify", str(db_path), "--expected", str(exp)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "union_indec_aft: computed 2, expected 3" in out
+        assert out[-1] == "MISMATCH"
+
+    def test_bool_union_size_is_input_error(self, db_path, tmp_path, capsys):
+        exp = tmp_path / "expected.json"
+        exp.write_text(json.dumps({**self.expected(), "union_indec_aft": True}))
+        assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: union_indec_aft must be an integer"]
+
     def test_bool_expected_id_is_input_error(self, db_path, tmp_path, capsys):
         exp = tmp_path / "expected.json"
         exp.write_text(json.dumps({"L_smooth": [True, 2]}))
         assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: list L_smooth must hold integer ids"]
+
+
+@pytest.mark.parametrize("bad_file", ["palp", "json", "sidecar", "expected"])
+def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
+    bad = tmp_path / f"bad.{'palp' if bad_file == 'palp' else 'json'}"
+    bad.write_bytes(b"\xff\xfe\x00bad\n")
+    palp = tmp_path / "db.palp"
+    palp.write_text("4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n")
+    argv = {
+        "palp": ["lists", str(bad)],
+        "json": ["lists", str(bad)],
+        "sidecar": ["lists", str(palp), "--sidecar", str(bad)],
+        "expected": ["verify", str(db_path), "--expected", str(bad)],
+    }[bad_file]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
 
 
 class TestInspectCommand:
@@ -219,6 +257,17 @@ class TestInspectCommand:
         assert "degree: 56" in out
         assert "standard-triangle" in out
         assert "maximal decomposition 0" in out
+
+    def test_prints_the_report_row(self, db_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["classify", str(db_path), "--out", str(out)]) == 0
+        row = json.loads(out.read_text())[5]
+        assert row["aft_witnesses"] == [[2, 3]]
+        capsys.readouterr()
+        assert main(["inspect", str(db_path), "--id", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key, value in row.items():
+            assert f"  {key}: {json.dumps(value)}" in lines
 
     def test_lift_rays_printed(self, db_path, capsys):
         assert main(["inspect", str(db_path), "--id", "4", "--lift"]) == 0

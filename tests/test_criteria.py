@@ -7,8 +7,10 @@ import fano3.polygon
 from conftest import (
     AFT_FIXTURE,
     CUBE,
+    FANO_UNITARY_NOT_HEIGHT_ONE,
     NAMED_FANO,
     NODES_FIXTURE,
+    NOT_REFLEXIVE,
     OCTAHEDRON,
     PYRAMID,
     RIGID_FIXTURE,
@@ -32,10 +34,6 @@ from fano3.intlinalg import dot, extends_to_basis, solve_height_one
 from fano3.polygon import AM_TRIANGLE, STANDARD_TRIANGLE, classify_polygon, facet_to_polygon
 from fano3.polytope import convex_hull
 
-NOT_REFLEXIVE = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2))
-# Fano, not reflexive, with triangular facets and unitary edges, one of
-# which has no integral functional equal to 1 at both ends
-FANO_UNITARY_NOT_HEIGHT_ONE = ((-1, 1, -1), (-2, -1, -2), (0, 2, 1), (1, -2, 0))
 
 
 def hull(pts):

@@ -1,8 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import PYRAMID, TETRAHEDRON
+from conftest import (
+    FANO_UNITARY_NOT_HEIGHT_ONE,
+    NAMED_FANO,
+    NOT_REFLEXIVE,
+    PYRAMID,
+    TETRAHEDRON,
+)
 from fano3 import db
 from fano3.criteria import classify
 from fano3.polytope import convex_hull
@@ -152,10 +159,22 @@ class TestExpectedLists:
 
     def test_load_subset(self, tmp_path):
         path = tmp_path / "expected.json"
-        path.write_text(json.dumps({"L_smooth": [1, 2], "L_aft": []}))
+        path.write_text(json.dumps({"L_aft": [], "L_smooth": [1, 2]}))
         lists = db.load_expected_lists(path)
-        assert lists.names() == ("L_smooth", "L_aft")
+        assert tuple(lists) == ("L_smooth", "L_aft")
         assert lists["L_smooth"] == frozenset({1, 2})
+
+    def test_union_size_read_as_integer(self, tmp_path):
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps({"union_indec_aft": 3, "L_indec": [1]}))
+        assert db.load_expected_lists(path) == {"L_indec": {1}, "union_indec_aft": 3}
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2", [2]])
+    def test_union_size_must_be_integer(self, tmp_path, size):
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps({"union_indec_aft": size}))
+        with pytest.raises(db.DatabaseFormatError, match="union_indec_aft must be an integer"):
+            db.load_expected_lists(path)
 
     def test_unknown_name_rejected(self, tmp_path):
         path = tmp_path / "expected.json"
@@ -198,6 +217,25 @@ class TestReports:
         assert lines[1].startswith("1,1,0")
         assert lines[2].startswith("2,1,1")
 
+    def test_csv_columns_are_the_json_keys(self, reports):
+        assert sorted(db.CSV_COLUMNS) == sorted(reports[0].to_dict())
+
     def test_unknown_format(self, reports, tmp_path):
         with pytest.raises(ValueError):
             db.write_reports(reports, tmp_path / "r.xml", format="xml")
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_report_bytes_match_golden(tmp_path, format):
+    # fixed bytes: they pin the report format independently of to_dict
+    inputs = list(NAMED_FANO.values()) + [NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE]
+    reports = [
+        classify(convex_hull(vertices), polytope_id=i, m_max=2)
+        for i, vertices in enumerate(inputs, start=1)
+    ]
+    path = tmp_path / f"report.{format}"
+    db.write_reports(reports, path, format=format)
+    assert path.read_bytes() == (GOLDEN / f"golden_report.{format}").read_bytes()
