@@ -234,21 +234,27 @@ def criterion_rigid_face(poly: LatticePolytope) -> list[int]:
     A witness is a triangular facet whose three vertices do not extend to a
     basis of Z^3 (|det| != 1) while each of its edges has endpoints that do
     extend to one.  Faces of dimension below 2 can never combine these
-    requirements, so only facets are scanned.
+    requirements, so only facets are scanned.  Each edge is tested once,
+    though it may bound two such facets.
     """
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
+    vertices = poly.vertices
+    tested: dict[tuple[int, int], bool] = {}
     witnesses = []
     for fi, facet in enumerate(poly.facets):
         idx = facet.vertex_indices
         if len(idx) != 3:
             continue
-        verts = [poly.vertices[i] for i in idx]
-        if abs(det3(tuple(verts))) == 1:
+        if abs(det3(tuple(vertices[i] for i in idx))) == 1:
             continue
-        if all(
-            extends_to_basis((verts[k], verts[(k + 1) % 3])) for k in range(3)
-        ):
+        for a, b in ((idx[0], idx[1]), (idx[1], idx[2]), (idx[2], idx[0])):
+            edge = (a, b) if a < b else (b, a)
+            if edge not in tested:
+                tested[edge] = extends_to_basis((vertices[a], vertices[b]))
+            if not tested[edge]:
+                break
+        else:
             witnesses.append(fi)
     return witnesses
 

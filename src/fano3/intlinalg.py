@@ -32,25 +32,9 @@ def cross(a: Vec, b: Vec) -> Vec:
     )
 
 
-def content(v: Vec) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
-def primitive_part(v: Vec) -> Vec:
-    """v divided by the gcd of its entries."""
-    g = content(v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive part")
-    return tuple(x // g for x in v)
-
-
 def is_primitive(v: Vec) -> bool:
     """True if the entries of the nonzero vector v are coprime."""
-    g = content(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector is neither primitive nor imprimitive")
     return g == 1
@@ -259,7 +243,8 @@ def extends_to_basis(vs: tuple[Vec, ...] | list[Vec]) -> bool:
 
     k vectors extend to a basis exactly when the gcd of the k x k minors of
     their k x n matrix is 1.  For two vectors a, b of Z^3 those minors are
-    the entries of a x b, so the test reads content(a x b) == 1.
+    the entries of a x b, so the test reads gcd(a x b) == 1.  It stops at the
+    first minor that brings their gcd to 1.
     """
     vs = tuple(vs)
     if not vs:
@@ -269,11 +254,12 @@ def extends_to_basis(vs: tuple[Vec, ...] | list[Vec]) -> bool:
         raise ValueError("vectors of different lengths")
     if len(vs) > n:
         raise ValueError(f"{len(vs)} vectors can not be part of a basis of Z^{n}")
-    minors = (
-        det(tuple(tuple(v[c] for c in cols) for v in vs))
-        for cols in combinations(range(n), len(vs))
-    )
-    return content(minors) == 1
+    g = 0
+    for cols in combinations(range(n), len(vs)):
+        g = gcd(g, det(tuple(tuple(v[c] for c in cols) for v in vs)))
+        if g == 1:
+            return True
+    return False
 
 
 def solve_height_one(v1: Vec, v2: Vec) -> Vec | None:

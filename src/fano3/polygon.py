@@ -23,7 +23,6 @@ from .intlinalg import (
     inverse_unimodular,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     matvec,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     smith_normal_form,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
-    vsub,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,14 +79,15 @@ class LatticePolygon:
         k = len(vs)
         edges = []
         turns = set()
-        prev = vsub(vs[0], vs[-1])
-        for i in range(k if k > 1 else 0):
-            d = vsub(vs[(i + 1) % k], vs[i])
-            g = gcd(d[0], d[1])
-            edges.append(((d[0] // g, d[1] // g), g))
-            s = det2(prev, d)
+        (x0, y0), (px, py) = vs[-1], vs[0]
+        ux, uy = px - x0, py - y0
+        for x, y in (vs[1:] + vs[:1]) if k > 1 else ():
+            dx, dy = x - px, y - py
+            g = gcd(dx, dy)
+            edges.append(((dx // g, dy // g), g))
+            s = ux * dy - uy * dx
             turns.add((s > 0) - (s < 0))
-            prev = d
+            px, py, ux, uy = x, y, dx, dy
         if k >= 3:
             if 0 in turns:
                 raise ValueError("vertices are not in strictly convex position")
@@ -145,7 +145,11 @@ def convex_hull_2d(points) -> LatticePolygon:
     def half(seq):
         chain = []
         for p in seq:
-            while len(chain) >= 2 and det2(vsub(chain[-1], chain[-2]), vsub(p, chain[-2])) <= 0:
+            x, y = p
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain

@@ -10,17 +10,16 @@ and keeps the resulting lattice polygon and chart on the ``Facet``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
+from operator import index
 
 from ._kernels import box_columns, count_box_points
 from .intlinalg import (
     Vec,
     cross,
     det3,
-    dot,
-    is_primitive,
     plane_basis,
-    primitive_part,
     vsub,
 )
 from .polygon import AffineChart, LatticePolygon, convex_hull_2d
@@ -74,9 +73,25 @@ class LatticePolytope:
         return gcd(gcd(abs(d[0]), abs(d[1])), abs(d[2]))
 
 
-def _orient(a: Vec, b: Vec, c: Vec, d: Vec) -> int:
-    """Sign of the volume of the tetrahedron (a, b, c, d)."""
-    return det3((vsub(b, a), vsub(c, a), vsub(d, a)))
+def _lattice_point(p) -> Vec:
+    """The point p of Z^3 as a tuple of ints; ValueError if it is not one."""
+    try:
+        x, y, z = p
+        return (index(x), index(y), index(z))
+    except (TypeError, ValueError):
+        raise ValueError(f"not a point of Z^3: {p!r}") from None
+
+
+def _plane(p: Vec, q: Vec, r: Vec) -> tuple[int, int, int, int]:
+    """The plane (n, <n, p>) of the triangle (p, q, r), n = (q - p) x (r - p).
+
+    <n, s> > <n, p> exactly when the tetrahedron (p, q, r, s) has positive volume.
+    """
+    px, py, pz = p
+    ux, uy, uz = q[0] - px, q[1] - py, q[2] - pz
+    vx, vy, vz = r[0] - px, r[1] - py, r[2] - pz
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return nx, ny, nz, nx * px + ny * py + nz * pz
 
 
 def _initial_simplex(points: list[Vec]) -> list[int]:
@@ -94,12 +109,9 @@ def _initial_simplex(points: list[Vec]) -> list[int]:
     )
     if i2 is None:
         raise DegenerateInputError("points are collinear")
+    nx, ny, nz, offset = _plane(points[i0], points[i1], points[i2])
     i3 = next(
-        (
-            j
-            for j in range(len(points))
-            if _orient(points[i0], points[i1], points[i2], points[j]) != 0
-        ),
+        (j for j, (x, y, z) in enumerate(points) if nx * x + ny * y + nz * z != offset),
         None,
     )
     if i3 is None:
@@ -107,67 +119,59 @@ def _initial_simplex(points: list[Vec]) -> list[int]:
     return [i0, i1, i2, i3]
 
 
-def _hull_triangles(points: list[Vec]) -> list[tuple[int, int, int]]:
+def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
     """Triangulated boundary of the hull, triangles oriented outward.
 
     Incremental insertion: every remaining point that strictly sees some
     triangle tears out the visible region and is coned over the horizon.
     Points on the current hull (including ones lying inside a face plane)
     see nothing strictly and are skipped, which is correct because the hull
-    only ever grows.
+    only ever grows.  Each triangle (a, b, c) keeps its plane from
+    ``_plane``, computed once when it is added, so a point p sees it when
+    <n, p> > <n, a>.  Returns (nx, ny, nz, <n, a>, a, b, c) per triangle,
+    with the raw outward normal n = (b - a) x (c - a).
     """
     base = _initial_simplex(points)
-    i0, i1, i2, i3 = base
-    faces: dict[int, tuple[int, int, int]] = {}
+    faces: dict[int, tuple[int, ...]] = {}
     edge_owner: dict[tuple[int, int], int] = {}
     next_id = 0
 
-    def add_face(tri: tuple[int, int, int]) -> None:
+    def add_face(a: int, b: int, c: int) -> None:
         nonlocal next_id
-        faces[next_id] = tri
-        for k in range(3):
-            edge_owner[(tri[k], tri[(k + 1) % 3])] = next_id
+        faces[next_id] = (*_plane(points[a], points[b], points[c]), a, b, c)
+        edge_owner[a, b] = edge_owner[b, c] = edge_owner[c, a] = next_id
         next_id += 1
 
-    def drop_face(fid: int) -> None:
-        tri = faces.pop(fid)
-        for k in range(3):
-            del edge_owner[(tri[k], tri[(k + 1) % 3])]
+    # each face of the simplex, with the vertex off it
+    for (a, b, c), opposite in zip(combinations(base, 3), reversed(base)):
+        nx, ny, nz, offset = _plane(points[a], points[b], points[c])
+        x, y, z = points[opposite]
+        if nx * x + ny * y + nz * z > offset:
+            b, c = c, b
+        add_face(a, b, c)
 
-    for tri, opposite in (
-        ((i0, i1, i2), i3),
-        ((i0, i1, i3), i2),
-        ((i0, i2, i3), i1),
-        ((i1, i2, i3), i0),
-    ):
-        a, b, c = tri
-        if _orient(points[a], points[b], points[c], points[opposite]) > 0:
-            a, b, c = a, c, b
-        add_face((a, b, c))
-
-    for p in range(len(points)):
+    for p, (x, y, z) in enumerate(points):
         if p in base:
             continue
-        pt = points[p]
         visible = [
             fid
-            for fid, (a, b, c) in faces.items()
-            if _orient(points[a], points[b], points[c], pt) > 0
+            for fid, (nx, ny, nz, offset, _, _, _) in faces.items()
+            if nx * x + ny * y + nz * z > offset
         ]
         if not visible:
             continue
         visible_set = set(visible)
         horizon = []
         for fid in visible:
-            tri = faces[fid]
-            for k in range(3):
-                u, v = tri[k], tri[(k + 1) % 3]
-                if edge_owner[(v, u)] not in visible_set:
+            _, _, _, _, a, b, c = faces[fid]
+            for u, v in ((a, b), (b, c), (c, a)):
+                if edge_owner[v, u] not in visible_set:
                     horizon.append((u, v))
         for fid in visible:
-            drop_face(fid)
+            _, _, _, _, a, b, c = faces.pop(fid)
+            del edge_owner[a, b], edge_owner[b, c], edge_owner[c, a]
         for u, v in horizon:
-            add_face((u, v, p))
+            add_face(u, v, p)
 
     return list(faces.values())
 
@@ -184,25 +188,34 @@ def convex_hull(points) -> LatticePolytope:
     outside.  Raises DegenerateInputError when the points do not affinely
     span R^3.
     """
-    pts: list[Vec] = list(dict.fromkeys(tuple(int(c) for c in p) for p in points))
+    pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
         raise DegenerateInputError("need at least 4 distinct points")
-    triangles = _hull_triangles(pts)
 
-    planes: dict[tuple[Vec, int], set[int]] = {}
-    for a, b, c in triangles:
-        raw = cross(vsub(pts[b], pts[a]), vsub(pts[c], pts[a]))
-        normal = primitive_part(raw)
-        planes.setdefault((normal, dot(normal, pts[a])), set()).update((a, b, c))
+    # members of each facet plane, three per hull triangle on it
+    planes: dict[tuple[Vec, int], list[int]] = {}
+    for nx, ny, nz, offset, a, b, c in _hull_triangles(pts):
+        g = gcd(nx, ny, nz)
+        planes.setdefault(((nx // g, ny // g, nz // g), offset // g), []).extend((a, b, c))
 
     facet_data = []
     for (normal, height), members in planes.items():
         e, b1, b2 = plane_basis(normal)
-        row1, row2 = cross(b2, e), cross(e, b1)
-        flat = {(dot(row1, pts[m]), dot(row2, pts[m])): m for m in members}
-        polygon = convex_hull_2d(flat.keys())
+        (r1x, r1y, r1z), (r2x, r2y, r2z) = cross(b2, e), cross(e, b1)
+        flat = {}
+        for m in members:
+            x, y, z = pts[m]
+            flat[r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z] = m
+        if len(members) == 3:
+            # a single hull triangle, counterclockwise from outside already;
+            # start it at its smallest point, where the monotone chain starts
+            ring = list(flat)
+            k = ring.index(min(ring))
+            polygon = LatticePolygon((*ring[k:], *ring[:k]))
+        else:
+            polygon = convex_hull_2d(flat)
         cycle = tuple(flat[q] for q in polygon.vertices)
-        origin = tuple(height * c for c in e)
+        origin = (height * e[0], height * e[1], height * e[2])
         facet_data.append((normal, height, cycle, polygon, AffineChart(origin, (b1, b2))))
 
     used = sorted({i for _, _, cycle, _, _ in facet_data for i in cycle})
@@ -224,9 +237,8 @@ def convex_hull(points) -> LatticePolytope:
     edge_facets: dict[tuple[int, int], list[int]] = {}
     for fi, facet in enumerate(facets):
         cyc = facet.vertex_indices
-        for k in range(len(cyc)):
-            a, b = cyc[k], cyc[(k + 1) % len(cyc)]
-            edge_facets.setdefault((min(a, b), max(a, b)), []).append(fi)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            edge_facets.setdefault((a, b) if a < b else (b, a), []).append(fi)
 
     edges = tuple(sorted(edge_facets))
     adjacency = []
@@ -250,13 +262,14 @@ def _validate(poly: LatticePolytope) -> None:
     if len(poly.vertices) - len(poly.edges) + len(poly.facets) != 2:
         raise AssertionError("hull is not a 2-sphere")
     for facet in poly.facets:
+        (nx, ny, nz), height = facet.normal, facet.height
         on = set(facet.vertex_indices)
-        for i, v in enumerate(poly.vertices):
-            value = dot(facet.normal, v)
+        for i, (x, y, z) in enumerate(poly.vertices):
+            value = nx * x + ny * y + nz * z
             if i in on:
-                if value != facet.height:
+                if value != height:
                     raise AssertionError("facet vertex off its own hyperplane")
-            elif value >= facet.height:
+            elif value >= height:
                 raise AssertionError("vertex on the wrong side of a facet")
 
 
@@ -264,7 +277,7 @@ def is_fano(poly: LatticePolytope) -> bool:
     """Origin strictly interior and every vertex primitive."""
     if any(f.height < 1 for f in poly.facets):
         return False
-    return all(is_primitive(v) for v in poly.vertices)
+    return all(gcd(x, y, z) == 1 for x, y, z in poly.vertices)
 
 
 def is_reflexive(poly: LatticePolytope) -> bool:

@@ -277,6 +277,19 @@ class TestInspectCommand:
     def test_unknown_id(self, db_path):
         assert main(["inspect", str(db_path), "--id", "99"]) == 2
 
+    def test_output_matches_golden(self, tmp_path, capsys):
+        # fixed bytes: they pin the hull's vertex order, each facet cycle and
+        # where it starts, the polygons, decompositions and lifted rays
+        fixtures = (PYRAMID, NODES_FIXTURE, AFT_FIXTURE)
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(
+            [{"id": i, "vertices": [list(v) for v in pts]} for i, pts in enumerate(fixtures, 1)]
+        ))
+        for i in range(1, len(fixtures) + 1):
+            assert main(["inspect", str(path), "--id", str(i), "--lift"]) == 0
+        golden = Path(__file__).parent / "data" / "golden_inspect.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
 
 def test_startup_imports_no_numpy():
     # the CLI starts once per run, so a heavy import shows in every run

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fano3.criteria
 import fano3.intlinalg
 import fano3.polygon
 from conftest import (
@@ -146,6 +147,21 @@ class TestRigidFace:
                 for k in range(3):
                     a, b = verts[k], verts[(k + 1) % 3]
                     assert solve_height_one(a, b) is not None
+
+    def test_each_edge_tested_once(self, reflexive_pool, monkeypatch):
+        # an edge of two candidate facets is tested once, not once per facet
+        calls = []
+
+        def counted(vs):
+            calls.append(frozenset(vs))
+            return extends_to_basis(vs)
+
+        monkeypatch.setattr(fano3.criteria, "extends_to_basis", counted)
+        pool = random.Random(0x3D6E).sample(reflexive_pool, 30)
+        for pts in list(NAMED_FANO.values()) + pool:
+            calls.clear()
+            criterion_rigid_face(hull(pts))
+            assert len(calls) == len(set(calls))
 
 
 class TestIndec:

@@ -13,6 +13,7 @@ from conftest import (
     large_shear,
 )
 from fano3.intlinalg import cross, dot, vsub
+from fano3.polygon import convex_hull_2d
 from fano3.polytope import (
     DegenerateInputError,
     convex_hull,
@@ -96,6 +97,10 @@ class TestConvexHull:
             for facet in poly.facets:
                 cyc = [poly.vertices[i] for i in facet.vertex_indices]
                 assert [facet.chart.lift(q) for q in facet.polygon.vertices] == cyc
+                # the cycle starts where the monotone chain starts, also
+                # on facets that skip it
+                hull_2d = convex_hull_2d(facet.polygon.vertices)
+                assert facet.polygon.vertices == hull_2d.vertices
                 for k in range(len(cyc)):
                     a, b, c = cyc[k], cyc[(k + 1) % len(cyc)], cyc[(k + 2) % len(cyc)]
                     turn = cross(vsub(b, a), vsub(c, b))
@@ -109,6 +114,15 @@ class TestConvexHull:
             for fi in (f0, f1):
                 assert a in poly.facets[fi].vertex_indices
                 assert b in poly.facets[fi].vertex_indices
+
+    @pytest.mark.parametrize(
+        "point", [(0.5, 0, 0), ("1", 0, 0), (1, 0), (1, 0, 0, 0)], ids=repr
+    )
+    def test_non_lattice_point_rejected(self, point):
+        with pytest.raises(ValueError, match="not a point of Z\\^3") as info:
+            convex_hull(list(TETRAHEDRON) + [point])
+        assert not isinstance(info.value, DegenerateInputError)
+        assert repr(point) in str(info.value)
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInputError):
