@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import db
@@ -22,6 +21,9 @@ from .lift import minkowski_lift
 from .polygon import maximal_decompositions
 from .polytope import convex_hull
 from .db import DatabaseFormatError
+
+
+_CHUNK = 32  # records per task sent to a worker process
 
 
 class InputError(Exception):
@@ -56,10 +58,14 @@ def _classify_record(args) -> ClassificationReport:
 
 def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
     tasks = [(rec, m_max) for rec in records]
+    # a fork pool starts all its workers at once: no more workers than chunks
+    workers = min(jobs, -(-len(tasks) // _CHUNK))
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(_classify_record, tasks, chunksize=32))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_classify_record, tasks, chunksize=_CHUNK))
         else:
             reports = [_classify_record(t) for t in tasks]
     except ValueError as exc:

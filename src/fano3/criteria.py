@@ -7,22 +7,23 @@ facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
 Every facet is flattened once, by ``polytope.convex_hull``, and classified
-once per polytope, into a facet table.  Each table-based verdict lives in
-one private helper; a public ``criterion_*`` function builds the table and
-calls its helper.  ``classify`` builds the table once and calls the helpers
-itself.  The two criteria that read vertices and edges rather than the
-table, ``criterion_rigid_face`` and ``criterion_totaro_rigid``, are the only
-public criteria it calls.
+once per polytope, into a facet table; every edge is measured once, into an
+edge table of its lattice length and of whether its endpoints extend to a
+basis of Z^3.  Each verdict lives in one private helper that reads those
+tables; a public ``criterion_*`` function checks its guard, builds the
+tables it needs and calls its helper.  ``classify`` builds both tables once
+and calls the helpers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import gcd
 
 from .intlinalg import (
-    det3,
+    cross,
     dot,
-    extends_to_basis,
+    extends_to_basis,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     solve_height_one,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
 )
 from .invariants import degree as _degree, hilbert_from_degree
@@ -115,6 +116,22 @@ def _facet_table(poly: LatticePolytope) -> list[tuple[LatticePolygon, PolygonCla
     return table
 
 
+def _edge_table(poly: LatticePolytope) -> dict[tuple[int, int], tuple[int, bool]]:
+    """(lattice length, extends to a basis) of every edge, in ``poly.edges`` order.
+
+    The endpoints a, b extend to a basis of Z^3 exactly when the 2x2 minors
+    of (a, b), the entries of a x b, are coprime.  On a Fano polytope
+    a x b != 0, as the origin is interior; a zero product reads False.
+    """
+    vertices = poly.vertices
+    table = {}
+    for a, b in poly.edges:
+        va, vb = vertices[a], vertices[b]
+        length = gcd(vb[0] - va[0], vb[1] - va[1], vb[2] - va[2])
+        table[a, b] = (length, gcd(*cross(va, vb)) == 1)
+    return table
+
+
 def _smooth(classes) -> bool:
     return all(cls.kind == STANDARD_TRIANGLE for cls in classes)
 
@@ -123,8 +140,12 @@ def _node_facets_only(classes) -> bool:
     return all(cls.kind in (STANDARD_TRIANGLE, STANDARD_SQUARE) for cls in classes)
 
 
-def _isolated(poly: LatticePolytope, classes) -> bool:
-    return has_only_unitary_edges(poly) and not _smooth(classes)
+def _unitary(edges) -> bool:
+    return all(length == 1 for length, _ in edges.values())
+
+
+def _isolated(edges, classes) -> bool:
+    return _unitary(edges) and not _smooth(classes)
 
 
 def _nodes(classes) -> bool:
@@ -136,39 +157,49 @@ def _nodes(classes) -> bool:
 def _indec_witnesses(table) -> list[int]:
     witnesses = []
     for fi, (polygon, cls) in enumerate(table):
-        if cls.kind == STANDARD_TRIANGLE:
-            continue
-        if any(l != 1 for l in cls.edge_lengths):
+        if cls.kind == STANDARD_TRIANGLE or any(l != 1 for l in cls.edge_lengths):
             continue
         if is_minkowski_indecomposable(polygon):
             witnesses.append(fi)
     return witnesses
 
 
-def _aft_witnesses(poly: LatticePolytope, classes) -> list[tuple[int, int]]:
+def _aft_witnesses(poly: LatticePolytope, edges, classes) -> list[tuple[int, int]]:
     witnesses = set()
-    for edge_index, (f0, f1) in enumerate(poly.facet_adjacency):
+    for edge, (f0, f1) in zip(poly.edges, poly.facet_adjacency):
         c0, c1 = classes[f0], classes[f1]
-        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE:
+        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE or c0.m != c1.m:
             continue
-        if c0.m != c1.m:
+        if edges[edge][0] != c0.m + 1:
             continue
-        n = c0.m
-        if poly.edge_lattice_length(edge_index) != n + 1:
-            continue
-        shared = set(poly.edges[edge_index])
+        shared = set(edge)
         for a, b in ((f0, f1), (f1, f0)):
-            apex_candidates = [
-                i for i in poly.facets[a].vertex_indices if i not in shared
-            ]
-            if len(apex_candidates) != 1:
+            apex = [i for i in poly.facets[a].vertex_indices if i not in shared]
+            if len(apex) != 1:
                 continue
-            v0 = poly.vertices[apex_candidates[0]]
+            v0 = poly.vertices[apex[0]]
             w1 = poly.facets[b].normal
             if dot(w1, v0) == 0:
                 witnesses.add((min(f0, f1), max(f0, f1)))
                 break
     return sorted(witnesses)
+
+
+def _totaro_rigid(poly: LatticePolytope, edges) -> bool:
+    triangles = all(len(f.vertex_indices) == 3 for f in poly.facets)
+    return triangles and all(basis for _, basis in edges.values())
+
+
+def _rigid_face_witnesses(poly: LatticePolytope, edges) -> list[int]:
+    witnesses = []
+    for fi, facet in enumerate(poly.facets):
+        idx = facet.vertex_indices
+        if len(idx) != 3 or facet.height * facet.polygon.area2 == 1:
+            continue
+        i, j, k = idx
+        if all(edges[min(a, b), max(a, b)][1] for a, b in ((i, j), (j, k), (k, i))):
+            witnesses.append(fi)
+    return witnesses
 
 
 def facet_classes(poly: LatticePolytope) -> list[PolygonClass]:
@@ -183,9 +214,7 @@ def criterion_smooth(poly: LatticePolytope) -> bool:
 
 def has_only_unitary_edges(poly: LatticePolytope) -> bool:
     """Every edge of the polytope has lattice length 1 (no smooth-case gate)."""
-    return all(
-        poly.edge_lattice_length(i) == 1 for i in range(len(poly.edges))
-    )
+    return _unitary(_edge_table(poly))
 
 
 def has_only_node_facets(poly: LatticePolytope) -> bool:
@@ -196,7 +225,7 @@ def has_only_node_facets(poly: LatticePolytope) -> bool:
 def criterion_isolated_singular(poly: LatticePolytope) -> bool:
     """Unitary edges throughout, with at least one non-standard-triangle facet."""
     _require_reflexive(poly)
-    return _isolated(poly, facet_classes(poly))
+    return _isolated(_edge_table(poly), facet_classes(poly))
 
 
 def criterion_nodes(poly: LatticePolytope) -> bool:
@@ -216,47 +245,28 @@ def criterion_totaro_rigid(poly: LatticePolytope) -> bool:
     Every facet must be a triangle, and each edge must have lattice length 1
     and admit an integral dual functional equal to 1 on both endpoints.  For
     distinct endpoints a, b both hold exactly when a x b is primitive, that
-    is when (a, b) extends to a basis of Z^3, which is what is tested, as in
-    ``criterion_rigid_face``.  The criterion applies to any Fano polytope.
+    is when (a, b) extends to a basis of Z^3, which is what the edge table
+    records.  The criterion applies to any Fano polytope.
     """
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
-    if any(len(f.vertex_indices) != 3 for f in poly.facets):
-        return False
-    return all(
-        extends_to_basis((poly.vertices[a], poly.vertices[b])) for a, b in poly.edges
-    )
+    return _totaro_rigid(poly, _edge_table(poly))
 
 
 def criterion_rigid_face(poly: LatticePolytope) -> list[int]:
     """Facets whose cone is rigid yet singular; their presence obstructs smoothing.
 
     A witness is a triangular facet whose three vertices do not extend to a
-    basis of Z^3 (|det| != 1) while each of its edges has endpoints that do
-    extend to one.  Faces of dimension below 2 can never combine these
-    requirements, so only facets are scanned.  Each edge is tested once,
-    though it may bound two such facets.
+    basis of Z^3 while each of its edges has endpoints that do extend to one.
+    The vertices extend to one when their |det| is 1, and that determinant
+    is the facet's height times its normalized area.  Faces of dimension
+    below 2 can never combine these requirements, so only facets are
+    scanned.  The edge condition is read from the edge table, which tests
+    each edge once; ``classify`` shares that table with the other verdicts.
     """
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
-    vertices = poly.vertices
-    tested: dict[tuple[int, int], bool] = {}
-    witnesses = []
-    for fi, facet in enumerate(poly.facets):
-        idx = facet.vertex_indices
-        if len(idx) != 3:
-            continue
-        if abs(det3(tuple(vertices[i] for i in idx))) == 1:
-            continue
-        for a, b in ((idx[0], idx[1]), (idx[1], idx[2]), (idx[2], idx[0])):
-            edge = (a, b) if a < b else (b, a)
-            if edge not in tested:
-                tested[edge] = extends_to_basis((vertices[a], vertices[b]))
-            if not tested[edge]:
-                break
-        else:
-            witnesses.append(fi)
-    return witnesses
+    return _rigid_face_witnesses(poly, _edge_table(poly))
 
 
 def criterion_indec(poly: LatticePolytope) -> list[int]:
@@ -280,7 +290,7 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     pair is reported when either fires.
     """
     _require_reflexive(poly)
-    return _aft_witnesses(poly, facet_classes(poly))
+    return _aft_witnesses(poly, _edge_table(poly), facet_classes(poly))
 
 
 def ext1_pushforward_degrees(n: int, d: int) -> list[int]:
@@ -316,25 +326,26 @@ def classify(
     if not is_fano(poly):
         raise ValueError("classification requires a Fano polytope")
     table = _facet_table(poly)
+    edges = _edge_table(poly)
     classes = tuple(cls for _, cls in table)
-    rigid_witnesses = tuple(criterion_rigid_face(poly))
+    rigid_witnesses = tuple(_rigid_face_witnesses(poly, edges))
     common = dict(
         polytope_id=polytope_id,
         facet_classes=classes,
-        totaro_rigid=criterion_totaro_rigid(poly),
+        totaro_rigid=_totaro_rigid(poly, edges),
         rigid_face_obstruction=bool(rigid_witnesses),
         rigid_face_witnesses=rigid_witnesses,
     )
     if not is_reflexive(poly):
         return ClassificationReport(**common, reflexive=False)
     indec_witnesses = tuple(_indec_witnesses(table))
-    aft_witnesses = tuple(_aft_witnesses(poly, classes))
+    aft_witnesses = tuple(_aft_witnesses(poly, edges, classes))
     deg = _degree(poly)
     return ClassificationReport(
         **common,
         reflexive=True,
         smooth=_smooth(classes),
-        isolated_singular=_isolated(poly, classes),
+        isolated_singular=_isolated(edges, classes),
         nodes=_nodes(classes),
         indec_obstruction=bool(indec_witnesses),
         aft_obstruction=bool(aft_witnesses),

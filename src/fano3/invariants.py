@@ -17,7 +17,6 @@ h_m = d m (m + 1) (2 m + 1) / 12 + 2 m + 1.  No lattice points are counted.
 
 from __future__ import annotations
 
-from .intlinalg import det3
 from .polytope import LatticePolytope, is_reflexive
 
 
@@ -28,7 +27,7 @@ def degree(poly: LatticePolytope) -> int:
     facets F through v as its vertices, in the cyclic order of those facets
     around v.  A directed edge v -> w of the cycle of a facet F separates F
     from the facet G on the other side of that edge, and F, G are
-    consecutive around v.  So the sum of det3((n_anchor(v), n_F, n_G)) over
+    consecutive around v.  So the sum of det((n_anchor(v), n_F, n_G)) over
     all directed edges, with n_anchor(v) one fixed normal at v, fans every
     dual facet from its anchor and cones it over the origin, all with one
     orientation; its absolute value is the normalized volume of the polar.
@@ -43,7 +42,9 @@ def degree(poly: LatticePolytope) -> int:
     anchor = {}
     total = 0
     for (v, w), normal in owner.items():
-        total += det3((anchor.setdefault(v, normal), normal, owner[w, v]))
+        ax, ay, az = anchor.setdefault(v, normal)
+        (fx, fy, fz), (gx, gy, gz) = normal, owner[w, v]
+        total += ax * (fy * gz - fz * gy) - ay * (fx * gz - fz * gx) + az * (fx * gy - fy * gx)
     return abs(total)
 
 

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from .intlinalg import (
     Vec,
-    det2,
     inverse_unimodular,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     matvec,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     smith_normal_form,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
@@ -57,14 +56,16 @@ class LatticePolygon:
 
     Vertices are listed in boundary order and must be in strictly convex
     position; segments carry their two endpoints.  ``edges`` holds the
-    (primitive direction, lattice length) of each boundary step, computed
-    once on construction; a segment is traversed there and back, so it has
-    a pair of opposite directions, and a point has no edges.  Equality,
-    hashing and repr depend on the vertices alone.
+    (primitive direction, lattice length) of each boundary step and
+    ``area2`` twice the Euclidean area (the normalized area), both computed
+    on construction; a segment is traversed there and back, so it has a
+    pair of opposite directions and area 0, and a point has no edges.
+    Equality, hashing and repr depend on the vertices alone.
     """
 
     vertices: tuple[Vec2, ...]
     edges: tuple[tuple[Vec2, int], ...] = field(init=False, compare=False, repr=False)
+    area2: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(tuple(v) for v in self.vertices)
@@ -73,18 +74,20 @@ class LatticePolygon:
             raise ValueError("polygon needs at least one vertex")
         if len(vs) != len(set(vs)):
             raise ValueError("repeated vertex in polygon")
-        # one walk around the cycle: the edge steps, and the turn between
-        # consecutive steps for the convexity check; a point has no steps,
-        # and a segment's two opposite steps make no turn
+        # one walk around the cycle: the edge steps, the shoelace sum, and
+        # the turn between consecutive steps for the convexity check; a point
+        # has no steps, and a segment's two opposite steps make no turn
         k = len(vs)
         edges = []
         turns = set()
+        shoelace = 0
         (x0, y0), (px, py) = vs[-1], vs[0]
         ux, uy = px - x0, py - y0
         for x, y in (vs[1:] + vs[:1]) if k > 1 else ():
             dx, dy = x - px, y - py
             g = gcd(dx, dy)
             edges.append(((dx // g, dy // g), g))
+            shoelace += px * dy - py * dx
             s = ux * dy - uy * dx
             turns.add((s > 0) - (s < 0))
             px, py, ux, uy = x, y, dx, dy
@@ -94,14 +97,7 @@ class LatticePolygon:
             if len(turns) != 1:
                 raise ValueError("vertex cycle is not convex")
         object.__setattr__(self, "edges", tuple(edges))
-
-    @property
-    def area2(self) -> int:
-        """Twice the Euclidean area (the normalized area), by the shoelace sum."""
-        vs = self.vertices
-        if len(vs) < 3:
-            return 0
-        return abs(sum(det2(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))))
+        object.__setattr__(self, "area2", abs(shoelace))
 
     @property
     def boundary_points(self) -> int:

@@ -69,8 +69,8 @@ class LatticePolytope:
 
     def edge_lattice_length(self, edge_index: int) -> int:
         a, b = self.edges[edge_index]
-        d = vsub(self.vertices[b], self.vertices[a])
-        return gcd(gcd(abs(d[0]), abs(d[1])), abs(d[2]))
+        (ax, ay, az), (bx, by, bz) = self.vertices[a], self.vertices[b]
+        return gcd(bx - ax, by - ay, bz - az)
 
 
 def _lattice_point(p) -> Vec:

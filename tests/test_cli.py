@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -36,6 +37,17 @@ def db_path(tmp_path):
     return path
 
 
+def repeated_db(tmp_path, count: int) -> Path:
+    """The fixtures repeated under ids 1..count."""
+    rows = [
+        {"id": i, "vertices": FIXTURE_DB[(i - 1) % len(FIXTURE_DB)]["vertices"]}
+        for i in range(1, count + 1)
+    ]
+    path = tmp_path / f"fixtures-{count}.json"
+    path.write_text(json.dumps(rows))
+    return path
+
+
 class TestClassifyCommand:
     def test_json_report(self, db_path, tmp_path):
         out = tmp_path / "report.json"
@@ -51,11 +63,44 @@ class TestClassifyCommand:
         assert main(["classify", str(db_path), "--out", str(out), "--report", "csv"]) == 0
         assert len(out.read_text().splitlines()) == 8
 
-    def test_jobs_do_not_change_output(self, db_path, tmp_path):
+    def test_jobs_do_not_change_output(self, tmp_path):
+        # more records than one chunk of 32, so --jobs 2 runs a real pool
+        path = repeated_db(tmp_path, 70)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["classify", str(db_path), "--out", str(a)]) == 0
-        assert main(["classify", str(db_path), "--out", str(b), "--jobs", "2"]) == 0
+        assert main(["classify", str(path), "--out", str(a)]) == 0
+        assert main(["classify", str(path), "--out", str(b), "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert [row["id"] for row in json.loads(a.read_text())] == list(range(1, 71))
+
+    @pytest.mark.parametrize(
+        "records, jobs, started", [(10, 64, []), (70, 2, [2]), (70, 64, [3])]
+    )
+    def test_pool_workers_capped_at_chunks(
+        self, tmp_path, monkeypatch, records, jobs, started
+    ):
+        # a fork pool starts all its workers at once, so it gets at most one
+        # per chunk of 32 records, and a single chunk runs inline
+        workers = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        path = repeated_db(tmp_path, records)
+        out = tmp_path / "lists.json"
+        assert main(["lists", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert workers == started
+        assert json.loads(out.read_text())["L_smooth"][:2] == [1, 2]
 
     def test_palp_input(self, tmp_path):
         palp = tmp_path / "db.txt"
@@ -295,5 +340,13 @@ def test_startup_imports_no_numpy():
     # the CLI starts once per run, so a heavy import shows in every run
     src = str(Path(fano3.__file__).resolve().parents[1])
     code = "import sys, fano3.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_startup_imports_no_process_pool():
+    # the pool is imported only when a run has more than one chunk to share
+    src = str(Path(fano3.__file__).resolve().parents[1])
+    code = "import sys, fano3.cli; sys.exit('concurrent.futures.process' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

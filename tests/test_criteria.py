@@ -20,6 +20,7 @@ from conftest import (
     large_shear,
 )
 from fano3.criteria import (
+    _edge_table,
     classify,
     criterion_aft,
     criterion_indec,
@@ -30,8 +31,10 @@ from fano3.criteria import (
     criterion_smooth,
     criterion_totaro_rigid,
     ext1_pushforward_degrees,
+    facet_classes,
 )
-from fano3.intlinalg import dot, extends_to_basis, solve_height_one
+from fano3.intlinalg import cross, det3, dot, extends_to_basis, solve_height_one
+from fano3.invariants import degree, hilbert_prefix
 from fano3.polygon import AM_TRIANGLE, STANDARD_TRIANGLE, classify_polygon, facet_to_polygon
 from fano3.polytope import convex_hull
 
@@ -107,7 +110,8 @@ class TestTotaroRigid:
 
     def test_basis_edge_iff_unitary_height_one(self, reflexive_pool):
         # the edge test both rigidity criteria share, against the pair of
-        # conditions the Totaro criterion states
+        # conditions the Totaro criterion states; the edge table's two facts
+        # against the generic references
         rng = random.Random(0x7E57)
         pool = random.Random(0xB0C5).sample(reflexive_pool, 30)
         inputs = list(NAMED_FANO.values()) + pool + [FANO_UNITARY_NOT_HEIGHT_ONE]
@@ -115,11 +119,14 @@ class TestTotaroRigid:
         outcomes = set()
         for pts in inputs:
             poly = hull(pts)
+            table = _edge_table(poly)
+            assert list(table) == list(poly.edges)
             for i, (a, b) in enumerate(poly.edges):
                 va, vb = poly.vertices[a], poly.vertices[b]
                 unitary = poly.edge_lattice_length(i) == 1
                 height_one = solve_height_one(va, vb) is not None
                 assert extends_to_basis((va, vb)) == (unitary and height_one)
+                assert table[a, b] == (poly.edge_lattice_length(i), unitary and height_one)
                 outcomes.add((unitary, height_one))
         assert outcomes == {(True, True), (False, True), (True, False)}
 
@@ -149,19 +156,38 @@ class TestRigidFace:
                     assert solve_height_one(a, b) is not None
 
     def test_each_edge_tested_once(self, reflexive_pool, monkeypatch):
-        # an edge of two candidate facets is tested once, not once per facet
+        # one classify call tests each edge once, in edge order, for the
+        # rigid-face, Totaro, isolated and AFT verdicts together
         calls = []
 
-        def counted(vs):
-            calls.append(frozenset(vs))
-            return extends_to_basis(vs)
+        def counted(a, b):
+            calls.append((a, b))
+            return cross(a, b)
 
-        monkeypatch.setattr(fano3.criteria, "extends_to_basis", counted)
+        monkeypatch.setattr(fano3.criteria, "cross", counted)
         pool = random.Random(0x3D6E).sample(reflexive_pool, 30)
-        for pts in list(NAMED_FANO.values()) + pool:
+        for pts in list(NAMED_FANO.values()) + pool + [NOT_REFLEXIVE]:
+            poly = hull(pts)
             calls.clear()
-            criterion_rigid_face(hull(pts))
-            assert len(calls) == len(set(calls))
+            classify(poly)
+            assert calls == [(poly.vertices[a], poly.vertices[b]) for a, b in poly.edges]
+
+    def test_triangle_det_is_height_times_area(self, reflexive_pool):
+        # the candidate test reads |det| of a triangular facet's vertices off
+        # the facet's height and normalized area
+        rng = random.Random(0xDE73)
+        pool = random.Random(0x3D6E).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool + [NOT_REFLEXIVE]
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        heights = set()
+        for pts in inputs:
+            poly = hull(pts)
+            for facet in poly.facets:
+                if len(facet.vertex_indices) == 3:
+                    verts = tuple(poly.vertices[i] for i in facet.vertex_indices)
+                    assert abs(det3(verts)) == facet.height * facet.polygon.area2
+                    heights.add(facet.height)
+        assert heights == {1, 2}
 
 
 class TestIndec:
@@ -332,6 +358,49 @@ class TestClassify:
         ):
             with pytest.raises(ValueError):
                 fn(poly)
+
+    def test_verdicts_match_public_criteria(self, reflexive_pool):
+        # classify hands its facet and edge tables to the helpers, the public
+        # criteria build their own; the two routes must give the same verdicts
+        rng = random.Random(0x0DD5)
+        pool = random.Random(0x51DE).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        inputs += [NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE]
+        seen = set()
+        for pts in inputs:
+            poly = hull(pts)
+            rep = classify(poly)
+            assert rep.facet_classes == tuple(facet_classes(poly))
+            assert rep.totaro_rigid == criterion_totaro_rigid(poly)
+            assert rep.rigid_face_witnesses == tuple(criterion_rigid_face(poly))
+            assert rep.rigid_face_obstruction == bool(rep.rigid_face_witnesses)
+            seen.add(("reflexive", rep.reflexive))
+            seen.add(("totaro_rigid", rep.totaro_rigid))
+            seen.add(("rigid_face", rep.rigid_face_obstruction))
+            if not rep.reflexive:
+                continue
+            assert rep.smooth == criterion_smooth(poly)
+            assert rep.isolated_singular == criterion_isolated_singular(poly)
+            assert rep.nodes == criterion_nodes(poly)
+            assert rep.indec_witnesses == tuple(criterion_indec(poly))
+            assert rep.indec_obstruction == bool(rep.indec_witnesses)
+            assert rep.aft_witnesses == tuple(criterion_aft(poly))
+            assert rep.aft_obstruction == bool(rep.aft_witnesses)
+            assert rep.low_degree == criterion_low_degree(poly)
+            assert rep.degree == degree(poly)
+            assert rep.hilbert == tuple(hilbert_prefix(poly, 5))
+            for name in (
+                "smooth",
+                "isolated_singular",
+                "nodes",
+                "indec_obstruction",
+                "aft_obstruction",
+                "low_degree",
+            ):
+                seen.add((name, getattr(rep, name)))
+        # every verdict takes both values somewhere in the inputs
+        assert len(seen) == 2 * 9
 
     def test_runs_no_smith_normal_form(self, reflexive_pool, monkeypatch):
         # the basis test reads coprime minors; the Smith normal form is only

@@ -132,23 +132,29 @@ class TestClassify:
     def test_kind_matches_definition(self):
         # the definitions by area and lattice points, against the tags the
         # classifier derives from edge lengths and the interior count
+        # and the area computed in the polygon's walk, against a shoelace
+        # sum over the cycle and its reverse; a point and a segment have 0
         rng = random.Random(0xC1A5)
         cycles = [UNIT_SQUARE, ((0, 0), (1, 0), (3, 1), (2, 1))]
+        cycles += [((2, -1),), ((0, 0), (3, 1))]
         for _ in range(600):
             pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))}
             cycles.append(oracles.jarvis_hull_2d(pts))
         seen = set()
         for cycle in cycles:
-            if len(cycle) < 3:
-                continue
-            cls = classify_polygon(LatticePolygon(cycle))
-            points = oracles.polygon_lattice_points(cycle)
-            inside = {p for p in points if _strictly_inside(cycle, p)}
             area2 = abs(sum(
                 cycle[i][0] * cycle[(i + 1) % len(cycle)][1]
                 - cycle[(i + 1) % len(cycle)][0] * cycle[i][1]
                 for i in range(len(cycle))
             ))
+            assert LatticePolygon(cycle).area2 == area2
+            assert LatticePolygon(cycle[::-1]).area2 == area2
+            if len(cycle) < 3:
+                assert area2 == 0
+                continue
+            cls = classify_polygon(LatticePolygon(cycle))
+            points = oracles.polygon_lattice_points(cycle)
+            inside = {p for p in points if _strictly_inside(cycle, p)}
             lengths = sorted(t for _, t in oracles.polygon_edges(cycle))
             expected = OTHER
             if len(cycle) == 3 and area2 == 1:
