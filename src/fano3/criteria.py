@@ -26,7 +26,7 @@ from .intlinalg import (
     extends_to_basis,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     solve_height_one,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
 )
-from .invariants import degree as _degree, hilbert_from_degree
+from .invariants import _degree, hilbert_from_degree
 from .polygon import (
     AM_TRIANGLE,
     STANDARD_SQUARE,
@@ -336,7 +336,8 @@ def classify(
         rigid_face_obstruction=bool(rigid_witnesses),
         rigid_face_witnesses=rigid_witnesses,
     )
-    if not is_reflexive(poly):
+    # Fano already, so reflexive exactly when every facet is at height 1
+    if any(f.height != 1 for f in poly.facets):
         return ClassificationReport(**common, reflexive=False)
     indec_witnesses = tuple(_indec_witnesses(table))
     aft_witnesses = tuple(_aft_witnesses(poly, edges, classes))

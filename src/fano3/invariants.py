@@ -21,30 +21,36 @@ from .polytope import LatticePolytope, is_reflexive
 
 
 def degree(poly: LatticePolytope) -> int:
-    """Anticanonical degree: the normalized volume of the polar polytope.
+    """Anticanonical degree: the normalized volume of the polar polytope."""
+    if not is_reflexive(poly):
+        raise ValueError("degree requires a reflexive polytope")
+    return _degree(poly)
+
+
+def _degree(poly: LatticePolytope) -> int:
+    """``degree`` without its reflexivity check, for callers that made it.
 
     The polar's facet dual to a vertex v of P has the normals n_F of the
     facets F through v as its vertices, in the cyclic order of those facets
-    around v.  A directed edge v -> w of the cycle of a facet F separates F
-    from the facet G on the other side of that edge, and F, G are
-    consecutive around v.  So the sum of det((n_anchor(v), n_F, n_G)) over
-    all directed edges, with n_anchor(v) one fixed normal at v, fans every
-    dual facet from its anchor and cones it over the origin, all with one
-    orientation; its absolute value is the normalized volume of the polar.
+    around v.  A step v -> w of the cycle of a facet F separates F from the
+    facet G on the other side of that edge, and F, G are consecutive around
+    v.  So the sum of det((n_anchor(v), n_F, n_G)) over all directed edges,
+    with n_anchor(v) one fixed normal at v, fans every dual facet from its
+    anchor and cones it over the origin, all with one orientation; its
+    absolute value is the normalized volume of the polar.  An edge (a, b)
+    with facets (L, R) is the step a -> b of L and b -> a of R, so its two
+    terms add up to det((n_anchor(a) - n_anchor(b), n_L, n_R)), one
+    determinant per edge; the anchor at v is the left facet of its first edge.
     """
-    if not is_reflexive(poly):
-        raise ValueError("degree requires a reflexive polytope")
-    owner = {}
-    for facet in poly.facets:
-        cyc = facet.vertex_indices
-        for k in range(len(cyc)):
-            owner[cyc[k - 1], cyc[k]] = facet.normal
+    facets = poly.facets
     anchor = {}
     total = 0
-    for (v, w), normal in owner.items():
-        ax, ay, az = anchor.setdefault(v, normal)
-        (fx, fy, fz), (gx, gy, gz) = normal, owner[w, v]
-        total += ax * (fy * gz - fz * gy) - ay * (fx * gz - fz * gx) + az * (fx * gy - fy * gx)
+    for (a, b), (l, r) in zip(poly.edges, poly.facet_adjacency):
+        fl = facets[l].normal
+        (ax, ay, az), (bx, by, bz) = anchor.setdefault(a, fl), anchor.setdefault(b, fl)
+        (fx, fy, fz), (gx, gy, gz) = fl, facets[r].normal
+        x, y, z = ax - bx, ay - by, az - bz
+        total += x * (fy * gz - fz * gy) - y * (fx * gz - fz * gx) + z * (fx * gy - fy * gx)
     return abs(total)
 
 
@@ -69,4 +75,4 @@ def hilbert_prefix(poly: LatticePolytope, m_max: int) -> list[int]:
         raise ValueError("m_max must be nonnegative")
     if not is_reflexive(poly):
         raise ValueError("hilbert coefficients require a reflexive polytope")
-    return hilbert_from_degree(degree(poly), m_max)
+    return hilbert_from_degree(_degree(poly), m_max)

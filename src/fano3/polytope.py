@@ -9,7 +9,7 @@ and keeps the resulting lattice polygon and chart on the ``Facet``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import gcd
 from operator import index
@@ -51,9 +51,11 @@ class Facet:
 class LatticePolytope:
     """A full-dimensional lattice polytope in Z^3.
 
-    ``vertices`` holds exactly the hull vertices.  ``edges`` are index pairs
-    (a, b) with a < b, sorted; ``facet_adjacency[i]`` is the pair of facet
-    indices meeting along ``edges[i]``.
+    ``vertices`` holds exactly the hull vertices, in input order.  ``edges``
+    are index pairs (a, b) with a < b, sorted; ``facet_adjacency[i]`` is the
+    pair (left, right) of facets meeting along ``edges[i]`` = (a, b): the
+    cycle of the left facet steps from a to b, that of the right facet from
+    b to a.
     """
 
     vertices: tuple[Vec, ...]
@@ -185,8 +187,9 @@ def convex_hull(points) -> LatticePolytope:
     reads (b2 x e . v, e x b1 . v).  The facet boundary is the 2-dimensional
     hull of the member points in those coordinates; since b1 x b2 is the
     outward normal, its counterclockwise cycle is counterclockwise seen from
-    outside.  Raises DegenerateInputError when the points do not affinely
-    span R^3.
+    outside.  One map from each directed cycle step to its facet gives the
+    edges and their oriented facet pairs.  Raises DegenerateInputError when
+    the points do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
@@ -198,61 +201,59 @@ def convex_hull(points) -> LatticePolytope:
         g = gcd(nx, ny, nz)
         planes.setdefault(((nx // g, ny // g, nz // g), offset // g), []).extend((a, b, c))
 
-    facet_data = []
-    for (normal, height), members in planes.items():
+    facets = []
+    for (normal, height), members in sorted(planes.items()):
         e, b1, b2 = plane_basis(normal)
         (r1x, r1y, r1z), (r2x, r2y, r2z) = cross(b2, e), cross(e, b1)
-        flat = {}
+        flat = []
         for m in members:
             x, y, z = pts[m]
-            flat[r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z] = m
+            flat.append((r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z))
         if len(members) == 3:
             # a single hull triangle, counterclockwise from outside already;
             # start it at its smallest point, where the monotone chain starts
-            ring = list(flat)
-            k = ring.index(min(ring))
-            polygon = LatticePolygon((*ring[k:], *ring[:k]))
+            k = flat.index(min(flat))
+            polygon = LatticePolygon((*flat[k:], *flat[:k]))
+            cycle = (*members[k:], *members[:k])
         else:
-            polygon = convex_hull_2d(flat)
-        cycle = tuple(flat[q] for q in polygon.vertices)
+            member_at = dict(zip(flat, members))
+            polygon = convex_hull_2d(member_at)
+            cycle = tuple(member_at[q] for q in polygon.vertices)
         origin = (height * e[0], height * e[1], height * e[2])
-        facet_data.append((normal, height, cycle, polygon, AffineChart(origin, (b1, b2))))
+        facets.append(Facet(cycle, normal, height, polygon, AffineChart(origin, (b1, b2))))
 
-    used = sorted({i for _, _, cycle, _, _ in facet_data for i in cycle})
-    renumber = {old: new for new, old in enumerate(used)}
-    vertices = tuple(pts[i] for i in used)
+    # points on no facet cycle (inside, or inside a facet or an edge) are
+    # dropped; the usual input has none, and then nothing is renumbered
+    used = set().union(*(f.vertex_indices for f in facets))
+    if len(used) < len(pts):
+        renumber = {old: new for new, old in enumerate(sorted(used))}
+        for fi, f in enumerate(facets):
+            facets[fi] = replace(f, vertex_indices=tuple(renumber[i] for i in f.vertex_indices))
+        pts = [pts[i] for i in renumber]
 
-    facet_data.sort(key=lambda item: (item[0], item[1]))
-    facets = tuple(
-        Facet(
-            vertex_indices=tuple(renumber[i] for i in cycle),
-            normal=normal,
-            height=height,
-            polygon=polygon,
-            chart=chart,
-        )
-        for normal, height, cycle, polygon, chart in facet_data
-    )
-
-    edge_facets: dict[tuple[int, int], list[int]] = {}
+    # the facet on the left of each directed edge u -> v of a facet cycle
+    left: dict[tuple[int, int], int] = {}
+    steps = 0
     for fi, facet in enumerate(facets):
-        cyc = facet.vertex_indices
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_facets.setdefault((a, b) if a < b else (b, a), []).append(fi)
-
-    edges = tuple(sorted(edge_facets))
-    adjacency = []
-    for edge in edges:
-        owners = edge_facets[edge]
-        if len(owners) != 2:
-            raise AssertionError(f"edge {edge} lies on {len(owners)} facets")
-        adjacency.append((min(owners), max(owners)))
+        cycle = facet.vertex_indices
+        steps += len(cycle)
+        u = cycle[-1]
+        for v in cycle:
+            left[u, v] = fi
+            u = v
+    edges = tuple(sorted([(u, v) for u, v in left if u < v]))
+    try:
+        adjacency = tuple([(left[a, b], left[b, a]) for a, b in edges])
+    except KeyError:
+        raise AssertionError("hull edge on a single facet") from None
+    if len(left) != steps or 2 * len(edges) != steps:
+        raise AssertionError("hull edge not on exactly two facets")
 
     poly = LatticePolytope(
-        vertices=vertices,
-        facets=facets,
+        vertices=tuple(pts),
+        facets=tuple(facets),
         edges=edges,
-        facet_adjacency=tuple(adjacency),
+        facet_adjacency=adjacency,
     )
     _validate(poly)
     return poly

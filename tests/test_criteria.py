@@ -5,6 +5,7 @@ import pytest
 import fano3.criteria
 import fano3.intlinalg
 import fano3.polygon
+import fano3.polytope
 from conftest import (
     AFT_FIXTURE,
     CUBE,
@@ -36,7 +37,7 @@ from fano3.criteria import (
 from fano3.intlinalg import cross, det3, dot, extends_to_basis, solve_height_one
 from fano3.invariants import degree, hilbert_prefix
 from fano3.polygon import AM_TRIANGLE, STANDARD_TRIANGLE, classify_polygon, facet_to_polygon
-from fano3.polytope import convex_hull
+from fano3.polytope import convex_hull, lattice_point_list
 
 
 
@@ -415,3 +416,27 @@ class TestClassify:
         inputs += [NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE]
         for pts in inputs:
             classify(hull(pts))
+
+    @pytest.mark.parametrize("pts", [PYRAMID, NOT_REFLEXIVE], ids=["reflexive", "fano"])
+    def test_runs_one_fano_test(self, pts, monkeypatch):
+        # classify calls criteria's import of is_fano, and is_reflexive (also
+        # behind the degree's guard) calls polytope's; both are counted
+        poly = hull(pts)
+        calls = []
+        for module in (fano3.criteria, fano3.polytope):
+            fano = module.is_fano
+            monkeypatch.setattr(
+                module, "is_fano", lambda p, fano=fano: calls.append(p) or fano(p)
+            )
+        classify(poly)
+        assert len(calls) == 1
+
+    def test_report_ignores_non_vertex_points(self, reflexive_pool):
+        # the hull of all lattice points renumbers its vertices; the report,
+        # degree and witness indices included, must not notice
+        pool = random.Random(0x7E57).sample(reflexive_pool, 30)
+        for pts in list(NAMED_FANO.values()) + pool:
+            poly = hull(pts)
+            full = hull(lattice_point_list(poly))
+            assert len(full.vertices) == len(poly.vertices)
+            assert classify(full).to_dict() == classify(poly).to_dict()

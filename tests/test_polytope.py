@@ -107,13 +107,28 @@ class TestConvexHull:
                     assert dot(turn, facet.normal) >= 0
                     assert turn != (0, 0, 0)
 
-    def test_each_edge_on_two_facets(self):
-        poly = convex_hull(PYRAMID)
-        assert len(poly.facet_adjacency) == len(poly.edges)
-        for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
-            for fi in (f0, f1):
-                assert a in poly.facets[fi].vertex_indices
-                assert b in poly.facets[fi].vertex_indices
+    def test_each_edge_on_two_facets(self, reflexive_pool):
+        # facet_adjacency is (left, right): the left facet's cycle steps
+        # a -> b along the edge (a, b), the right facet's steps b -> a
+        rng = random.Random(0xAD1)
+        pool = random.Random(0xED6E).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        # with non-vertex points the hull renumbers its vertices
+        inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
+        for pts in inputs:
+            poly = convex_hull(pts)
+            assert len(poly.facet_adjacency) == len(poly.edges)
+            steps = set()
+            for facet in poly.facets:
+                cyc = facet.vertex_indices
+                steps.update(zip(cyc, cyc[1:] + cyc[:1]))
+            assert len(steps) == 2 * len(poly.edges)
+            for (a, b), (left, right) in zip(poly.edges, poly.facet_adjacency):
+                assert a < b and left != right
+                for fi, (u, v) in ((left, (a, b)), (right, (b, a))):
+                    cyc = poly.facets[fi].vertex_indices
+                    assert cyc[(cyc.index(u) + 1) % len(cyc)] == v
 
     @pytest.mark.parametrize(
         "point", [(0.5, 0, 0), ("1", 0, 0), (1, 0), (1, 0, 0, 0)], ids=repr
