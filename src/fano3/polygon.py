@@ -68,7 +68,7 @@ class LatticePolygon:
     area2: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        vs = tuple(tuple(v) for v in self.vertices)
+        vs = tuple(map(tuple, self.vertices))
         object.__setattr__(self, "vertices", vs)
         if not vs:
             raise ValueError("polygon needs at least one vertex")
@@ -79,7 +79,7 @@ class LatticePolygon:
         # has no steps, and a segment's two opposite steps make no turn
         k = len(vs)
         edges = []
-        turns = set()
+        left = right = straight = False
         shoelace = 0
         (x0, y0), (px, py) = vs[-1], vs[0]
         ux, uy = px - x0, py - y0
@@ -89,30 +89,26 @@ class LatticePolygon:
             edges.append(((dx // g, dy // g), g))
             shoelace += px * dy - py * dx
             s = ux * dy - uy * dx
-            turns.add((s > 0) - (s < 0))
+            if s > 0:
+                left = True
+            elif s < 0:
+                right = True
+            else:
+                straight = True
             px, py, ux, uy = x, y, dx, dy
         if k >= 3:
-            if 0 in turns:
+            if straight:
                 raise ValueError("vertices are not in strictly convex position")
-            if len(turns) != 1:
+            if left and right:
                 raise ValueError("vertex cycle is not convex")
+            # turns of one sign wind the edge directions w >= 1 times round,
+            # in and out of the upper half-plane 2w times; a star has k >= 5
+            if k >= 5:
+                up = [dy > 0 or (dy == 0 and dx > 0) for (dx, dy), _ in edges]
+                if sum(a != b for a, b in zip(up, up[1:] + up[:1])) != 2:
+                    raise ValueError("vertex cycle is not convex")
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "area2", abs(shoelace))
-
-    @property
-    def boundary_points(self) -> int:
-        if len(self.vertices) == 1:
-            return 1
-        if len(self.vertices) == 2:
-            return self.edges[0][1] + 1
-        return sum(length for _, length in self.edges)
-
-    @property
-    def interior_points(self) -> int:
-        """Number of interior lattice points, from Pick's formula."""
-        if len(self.vertices) < 3:
-            return 0
-        return (self.area2 - self.boundary_points + 2) // 2
 
 
 def translation_key(poly: LatticePolygon) -> tuple[Vec2, ...]:
@@ -192,7 +188,7 @@ def edge_lattice_lengths(poly: LatticePolygon) -> tuple[int, ...]:
     """Multiset of lattice lengths of the edges, sorted ascending."""
     if len(poly.vertices) == 2:
         return (poly.edges[0][1],)
-    return tuple(sorted(length for _, length in poly.edges))
+    return tuple(sorted([length for _, length in poly.edges]))
 
 
 def has_unitary_edges(poly: LatticePolygon) -> bool:
@@ -208,11 +204,11 @@ def classify_polygon(poly: LatticePolygon) -> PolygonClass:
     A_m-triangle (m >= 1) is an empty triangle with edge lengths 1, 1, m+1.
     By Pick's formula a triangle has normalized area 1 exactly when it is
     empty with edge lengths 1, 1, 1, so the edge lengths and the interior
-    count decide all three.
+    count, which that formula gives from ``area2`` and their sum, decide all three.
     """
     k = len(poly.vertices)
     lengths = edge_lattice_lengths(poly)
-    interior = poly.interior_points
+    interior = (poly.area2 - sum(lengths) + 2) // 2 if k >= 3 else 0
     kind = OTHER
     m = None
     if k == 3 and interior == 0 and lengths[1] == 1:

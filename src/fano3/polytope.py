@@ -4,7 +4,7 @@ All geometric predicates are exact 3x3 integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
 vertices), so the hull is built by straightforward incremental insertion.
 The hull flattens each facet once, with a unimodular chart of its plane,
-and keeps the resulting lattice polygon and chart on the ``Facet``.
+and keeps the resulting lattice polygon on the ``Facet``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .intlinalg import (
     cross,
     det3,
     plane_basis,
-    vsub,
 )
 from .polygon import AffineChart, LatticePolygon, convex_hull_2d
 
@@ -44,7 +43,12 @@ class Facet:
     normal: Vec
     height: int
     polygon: LatticePolygon = field(compare=False, repr=False)
-    chart: AffineChart = field(compare=False, repr=False)
+
+    @property
+    def chart(self) -> AffineChart:
+        """The chart of ``plane_basis`` that the hull flattened this facet with."""
+        e, b1, b2 = plane_basis(self.normal)
+        return AffineChart(tuple(self.height * c for c in e), (b1, b2))
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,14 @@ def _initial_simplex(points: list[Vec]) -> list[int]:
     i1 = next((j for j in range(len(points)) if points[j] != points[i0]), None)
     if i1 is None:
         raise DegenerateInputError("all points coincide")
-    i2 = next(
-        (
-            j
-            for j in range(len(points))
-            if cross(vsub(points[i1], points[i0]), vsub(points[j], points[i0])) != (0, 0, 0)
-        ),
-        None,
-    )
-    if i2 is None:
+    # the first point p off the line through p0 and p1: u x (p - p0) != 0
+    (x0, y0, z0), (x1, y1, z1) = points[i0], points[i1]
+    ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+    for i2, (x, y, z) in enumerate(points):
+        x, y, z = x - x0, y - y0, z - z0
+        if uy * z != uz * y or uz * x != ux * z or ux * y != uy * x:
+            break
+    else:
         raise DegenerateInputError("points are collinear")
     nx, ny, nz, offset = _plane(points[i0], points[i1], points[i2])
     i3 = next(
@@ -219,8 +222,7 @@ def convex_hull(points) -> LatticePolytope:
             member_at = dict(zip(flat, members))
             polygon = convex_hull_2d(member_at)
             cycle = tuple(member_at[q] for q in polygon.vertices)
-        origin = (height * e[0], height * e[1], height * e[2])
-        facets.append(Facet(cycle, normal, height, polygon, AffineChart(origin, (b1, b2))))
+        facets.append(Facet(cycle, normal, height, polygon))
 
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered

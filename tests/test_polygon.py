@@ -26,6 +26,9 @@ from fano3.polytope import convex_hull, polar
 
 UNIT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
+HEXAGON = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+# a convex heptagon, counterclockwise
+HEPTAGON = ((0, 0), (2, 0), (4, 1), (5, 3), (3, 5), (1, 4), (-1, 2))
 
 
 def am_triangle(m):
@@ -37,17 +40,46 @@ def pentagon():
 
 
 class TestPolygonBasics:
+    def test_rejects_repeated_vertex(self):
+        with pytest.raises(ValueError, match="repeated vertex in polygon"):
+            LatticePolygon(((0, 0), (1, 0), (0, 1), (1, 0)))
+
     def test_rejects_collinear(self):
-        with pytest.raises(ValueError):
-            LatticePolygon(((0, 0), (1, 0), (2, 0)))
+        # a collinear triple, and a quadrilateral with a straight angle
+        for cycle in (((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 0), (2, 0), (1, 1))):
+            with pytest.raises(ValueError, match="not in strictly convex position"):
+                LatticePolygon(cycle)
 
     def test_rejects_nonconvex_cycle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex cycle is not convex"):
             LatticePolygon(((0, 0), (2, 0), (1, 1), (2, 2), (0, 2)))
+
+    @pytest.mark.parametrize(
+        "star",
+        [
+            # a pentagram and the heptagrams {7/2} and {7/3}: every turn has
+            # one sign, but the edge directions wind around two or three times
+            ((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)),
+            tuple((HEPTAGON * 2)[::2][:7]),
+            tuple((HEPTAGON * 3)[::3][:7]),
+        ],
+        ids=["pentagram", "heptagram_2", "heptagram_3"],
+    )
+    def test_rejects_star_polygon(self, star):
+        for cycle in (star, star[::-1]):
+            with pytest.raises(ValueError, match="vertex cycle is not convex"):
+                LatticePolygon(cycle)
+
+    @pytest.mark.parametrize("cycle", [PENTAGON, HEXAGON, HEPTAGON], ids=["5", "6", "7"])
+    def test_convex_cycles_pass_both_ways(self, cycle):
+        for vs in (cycle, cycle[::-1]):
+            assert LatticePolygon(vs).vertices == vs
 
     def test_segment_edges(self):
         seg = LatticePolygon(((0, 0), (2, 2)))
         assert seg.edges == (((1, 1), 2), ((-1, -1), 2))
+        assert edge_lattice_lengths(seg) == (2,)
+        assert LatticePolygon(((2, -1),)).edges == ()
 
     def test_closed_cycle(self):
         poly = pentagon()
@@ -147,12 +179,15 @@ class TestClassify:
                 - cycle[(i + 1) % len(cycle)][0] * cycle[i][1]
                 for i in range(len(cycle))
             ))
-            assert LatticePolygon(cycle).area2 == area2
-            assert LatticePolygon(cycle[::-1]).area2 == area2
+            # both orientations give the same area, edge lengths and class
+            ccw, cw = LatticePolygon(cycle), LatticePolygon(cycle[::-1])
+            assert ccw.area2 == cw.area2 == area2
+            assert edge_lattice_lengths(ccw) == edge_lattice_lengths(cw)
+            cls = classify_polygon(ccw)
+            assert classify_polygon(cw) == cls
             if len(cycle) < 3:
-                assert area2 == 0
+                assert area2 == 0 and cls.interior_points == 0
                 continue
-            cls = classify_polygon(LatticePolygon(cycle))
             points = oracles.polygon_lattice_points(cycle)
             inside = {p for p in points if _strictly_inside(cycle, p)}
             lengths = sorted(t for _, t in oracles.polygon_edges(cycle))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -12,10 +13,12 @@ from conftest import (
     apply_matrix,
     large_shear,
 )
-from fano3.intlinalg import cross, dot, vsub
+from fano3 import polytope
+from fano3.intlinalg import cross, dot, plane_basis, vsub
 from fano3.polygon import convex_hull_2d
 from fano3.polytope import (
     DegenerateInputError,
+    Facet,
     convex_hull,
     is_fano,
     is_reflexive,
@@ -140,12 +143,41 @@ class TestConvexHull:
         assert repr(point) in str(info.value)
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateInputError):
-            convex_hull([(0, 0, 0), (1, 0, 0)])
-        with pytest.raises(DegenerateInputError):
+        for pts in ([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)]):
+            with pytest.raises(DegenerateInputError, match="need at least 4 distinct points"):
+                convex_hull(pts)
+        with pytest.raises(DegenerateInputError, match="points are collinear"):
             convex_hull([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="points are coplanar"):
             convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+        ],
+        ids=["collinear_candidate", "coplanar_candidate"],
+    )
+    def test_initial_simplex_skips_degenerate_candidates(self, pts):
+        poly = convex_hull(pts)
+        assert convex_hull(poly.vertices) == poly
+        assert {f.normal: f.height for f in poly.facets} == oracles.brute_facets(pts)
+
+    def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
+        # the hull charts each facet plane once, and keeps no chart
+        assert "chart" not in {f.name for f in fields(Facet)}
+        calls = []
+
+        def counting_plane_basis(n):
+            calls.append(n)
+            return plane_basis(n)
+
+        monkeypatch.setattr(polytope, "plane_basis", counting_plane_basis)
+        for pts in list(NAMED_FANO.values()) + reflexive_pool[:10]:
+            calls.clear()
+            poly = convex_hull(pts)
+            assert calls == [f.normal for f in poly.facets]
 
 
 class TestFanoReflexive:
