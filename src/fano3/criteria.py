@@ -6,13 +6,13 @@ the classification report.  Obstruction criteria report witnesses, i.e. the
 facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
-Every facet is flattened once, by ``polytope.convex_hull``, and classified
-once per polytope, into a facet table; every edge is measured once, into an
-edge table of its lattice length and of whether its endpoints extend to a
-basis of Z^3.  Each verdict lives in one private helper that reads those
-tables; a public ``criterion_*`` function checks its guard, builds the
-tables it needs and calls its helper.  ``classify`` builds both tables once
-and calls the helpers only.
+``classify`` is the one source of every verdict.  It reads the face
+lattice that ``polytope.convex_hull`` built once: one pass over the edges
+tests whether each edge's endpoints extend to a basis of Z^3, one pass
+over the facets classifies each facet polygon and collects the rigid-face
+and indecomposability witnesses, and one pass over the facet pairs of the
+edges collects the AFT witnesses.  Each public ``criterion_*`` function
+checks its guard and reads its field of the report.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .polygon import (
     AM_TRIANGLE,
     STANDARD_SQUARE,
     STANDARD_TRIANGLE,
-    LatticePolygon,
     PolygonClass,
     classify_polygon,
     facet_to_polygon,
@@ -47,6 +46,7 @@ from .polytope import (
 )
 
 LOW_DEGREES = frozenset({4, 6, 8, 10, 12})
+_NODE_KINDS = frozenset({STANDARD_TRIANGLE, STANDARD_SQUARE})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -107,125 +107,30 @@ def _require_reflexive(poly: LatticePolytope) -> None:
         raise ValueError("criterion requires a reflexive polytope")
 
 
-def _facet_table(poly: LatticePolytope) -> list[tuple[LatticePolygon, PolygonClass]]:
-    """Flattened polygon and class of every facet, classified once per polytope."""
-    table = []
-    for fi in range(len(poly.facets)):
-        polygon = facet_to_polygon(poly, fi)
-        table.append((polygon, classify_polygon(polygon)))
-    return table
-
-
-def _edge_table(poly: LatticePolytope) -> dict[tuple[int, int], tuple[int, bool]]:
-    """(lattice length, extends to a basis) of every edge, in ``poly.edges`` order.
-
-    The endpoints a, b extend to a basis of Z^3 exactly when the 2x2 minors
-    of (a, b), the entries of a x b, are coprime.  On a Fano polytope
-    a x b != 0, as the origin is interior; a zero product reads False.
-    """
-    vertices = poly.vertices
-    table = {}
-    for a, b in poly.edges:
-        va, vb = vertices[a], vertices[b]
-        length = gcd(vb[0] - va[0], vb[1] - va[1], vb[2] - va[2])
-        table[a, b] = (length, gcd(*cross(va, vb)) == 1)
-    return table
-
-
-def _smooth(classes) -> bool:
-    return all(cls.kind == STANDARD_TRIANGLE for cls in classes)
-
-
-def _node_facets_only(classes) -> bool:
-    return all(cls.kind in (STANDARD_TRIANGLE, STANDARD_SQUARE) for cls in classes)
-
-
-def _unitary(edges) -> bool:
-    return all(length == 1 for length, _ in edges.values())
-
-
-def _isolated(edges, classes) -> bool:
-    return _unitary(edges) and not _smooth(classes)
-
-
-def _nodes(classes) -> bool:
-    return _node_facets_only(classes) and any(
-        cls.kind == STANDARD_SQUARE for cls in classes
-    )
-
-
-def _indec_witnesses(table) -> list[int]:
-    witnesses = []
-    for fi, (polygon, cls) in enumerate(table):
-        if cls.kind == STANDARD_TRIANGLE or any(l != 1 for l in cls.edge_lengths):
-            continue
-        if is_minkowski_indecomposable(polygon):
-            witnesses.append(fi)
-    return witnesses
-
-
-def _aft_witnesses(poly: LatticePolytope, edges, classes) -> list[tuple[int, int]]:
-    witnesses = set()
-    for edge, (f0, f1) in zip(poly.edges, poly.facet_adjacency):
-        c0, c1 = classes[f0], classes[f1]
-        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE or c0.m != c1.m:
-            continue
-        if edges[edge][0] != c0.m + 1:
-            continue
-        shared = set(edge)
-        for a, b in ((f0, f1), (f1, f0)):
-            apex = [i for i in poly.facets[a].vertex_indices if i not in shared]
-            if len(apex) != 1:
-                continue
-            v0 = poly.vertices[apex[0]]
-            w1 = poly.facets[b].normal
-            if dot(w1, v0) == 0:
-                witnesses.add((min(f0, f1), max(f0, f1)))
-                break
-    return sorted(witnesses)
-
-
-def _totaro_rigid(poly: LatticePolytope, edges) -> bool:
-    triangles = all(len(f.vertex_indices) == 3 for f in poly.facets)
-    return triangles and all(basis for _, basis in edges.values())
-
-
-def _rigid_face_witnesses(poly: LatticePolytope, edges) -> list[int]:
-    witnesses = []
-    for fi, facet in enumerate(poly.facets):
-        idx = facet.vertex_indices
-        if len(idx) != 3 or facet.height * facet.polygon.area2 == 1:
-            continue
-        i, j, k = idx
-        if all(edges[min(a, b), max(a, b)][1] for a, b in ((i, j), (j, k), (k, i))):
-            witnesses.append(fi)
-    return witnesses
-
-
 def facet_classes(poly: LatticePolytope) -> list[PolygonClass]:
-    return [cls for _, cls in _facet_table(poly)]
+    return [classify_polygon(facet.polygon) for facet in poly.facets]
 
 
 def criterion_smooth(poly: LatticePolytope) -> bool:
     """Every facet is a standard triangle."""
     _require_reflexive(poly)
-    return _smooth(facet_classes(poly))
+    return classify(poly, m_max=0).smooth
 
 
 def has_only_unitary_edges(poly: LatticePolytope) -> bool:
     """Every edge of the polytope has lattice length 1 (no smooth-case gate)."""
-    return _unitary(_edge_table(poly))
+    return all(poly.edge_lattice_length(i) == 1 for i in range(len(poly.edges)))
 
 
 def has_only_node_facets(poly: LatticePolytope) -> bool:
     """Every facet is a standard triangle or square (no square-presence gate)."""
-    return _node_facets_only(facet_classes(poly))
+    return all(cls.kind in _NODE_KINDS for cls in facet_classes(poly))
 
 
 def criterion_isolated_singular(poly: LatticePolytope) -> bool:
     """Unitary edges throughout, with at least one non-standard-triangle facet."""
     _require_reflexive(poly)
-    return _isolated(_edge_table(poly), facet_classes(poly))
+    return classify(poly, m_max=0).isolated_singular
 
 
 def criterion_nodes(poly: LatticePolytope) -> bool:
@@ -236,7 +141,7 @@ def criterion_nodes(poly: LatticePolytope) -> bool:
     ordinary double points and are therefore deformable to smooth ones.
     """
     _require_reflexive(poly)
-    return _nodes(facet_classes(poly))
+    return classify(poly, m_max=0).nodes
 
 
 def criterion_totaro_rigid(poly: LatticePolytope) -> bool:
@@ -245,12 +150,12 @@ def criterion_totaro_rigid(poly: LatticePolytope) -> bool:
     Every facet must be a triangle, and each edge must have lattice length 1
     and admit an integral dual functional equal to 1 on both endpoints.  For
     distinct endpoints a, b both hold exactly when a x b is primitive, that
-    is when (a, b) extends to a basis of Z^3, which is what the edge table
-    records.  The criterion applies to any Fano polytope.
+    is when (a, b) extends to a basis of Z^3, which is what ``classify``
+    tests for each edge.  The criterion applies to any Fano polytope.
     """
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
-    return _totaro_rigid(poly, _edge_table(poly))
+    return classify(poly, m_max=0).totaro_rigid
 
 
 def criterion_rigid_face(poly: LatticePolytope) -> list[int]:
@@ -261,12 +166,11 @@ def criterion_rigid_face(poly: LatticePolytope) -> list[int]:
     The vertices extend to one when their |det| is 1, and that determinant
     is the facet's height times its normalized area.  Faces of dimension
     below 2 can never combine these requirements, so only facets are
-    scanned.  The edge condition is read from the edge table, which tests
-    each edge once; ``classify`` shares that table with the other verdicts.
+    scanned.
     """
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
-    return _rigid_face_witnesses(poly, _edge_table(poly))
+    return list(classify(poly, m_max=0).rigid_face_witnesses)
 
 
 def criterion_indec(poly: LatticePolytope) -> list[int]:
@@ -277,7 +181,7 @@ def criterion_indec(poly: LatticePolytope) -> list[int]:
     cannot be smoothed.
     """
     _require_reflexive(poly)
-    return _indec_witnesses(_facet_table(poly))
+    return list(classify(poly, m_max=0).indec_witnesses)
 
 
 def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
@@ -290,7 +194,7 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     pair is reported when either fires.
     """
     _require_reflexive(poly)
-    return _aft_witnesses(poly, _edge_table(poly), facet_classes(poly))
+    return list(classify(poly, m_max=0).aft_witnesses)
 
 
 def ext1_pushforward_degrees(n: int, d: int) -> list[int]:
@@ -308,7 +212,7 @@ def ext1_pushforward_degrees(n: int, d: int) -> list[int]:
 def criterion_low_degree(poly: LatticePolytope) -> bool:
     """Degree in {4, 6, 8, 10, 12}; such varieties are known to be smoothable."""
     _require_reflexive(poly)
-    return _degree(poly) in LOW_DEGREES
+    return classify(poly, m_max=0).low_degree
 
 
 def classify(
@@ -325,34 +229,84 @@ def classify(
         raise ValueError("m_max must be nonnegative")
     if not is_fano(poly):
         raise ValueError("classification requires a Fano polytope")
-    table = _facet_table(poly)
-    edges = _edge_table(poly)
-    classes = tuple(cls for _, cls in table)
-    rigid_witnesses = tuple(_rigid_face_witnesses(poly, edges))
+    vertices, facets = poly.vertices, poly.facets
+    # Fano already, so reflexive exactly when every facet is at height 1
+    reflexive = all(facet.height == 1 for facet in facets)
+
+    # a, b extend to a basis of Z^3 exactly when the 2x2 minors of (a, b),
+    # the entries of a x b, are coprime; such an edge is also unitary
+    basis = {
+        (a, b) for a, b in poly.edges if gcd(*cross(vertices[a], vertices[b])) == 1
+    }
+
+    classes = []
+    kinds = set()
+    unitary = triangles = True
+    rigid_witnesses = []
+    indec_witnesses = []
+    for fi, facet in enumerate(facets):
+        polygon = facet_to_polygon(poly, fi)
+        cls = classify_polygon(polygon)
+        classes.append(cls)
+        kinds.add(cls.kind)
+        # the chart is unimodular, so polygon edges keep their lattice lengths
+        facet_unitary = cls.edge_lengths[-1] == 1
+        unitary = unitary and facet_unitary
+        if len(facet.vertex_indices) != 3:
+            triangles = False
+        elif facet.height * polygon.area2 != 1:
+            i, j, k = facet.vertex_indices
+            if all(
+                (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))
+            ):
+                rigid_witnesses.append(fi)
+        if (
+            reflexive
+            and facet_unitary
+            and cls.kind != STANDARD_TRIANGLE
+            and is_minkowski_indecomposable(polygon)
+        ):
+            indec_witnesses.append(fi)
+
     common = dict(
         polytope_id=polytope_id,
-        facet_classes=classes,
-        totaro_rigid=_totaro_rigid(poly, edges),
+        facet_classes=tuple(classes),
+        totaro_rigid=triangles and len(basis) == len(poly.edges),
         rigid_face_obstruction=bool(rigid_witnesses),
-        rigid_face_witnesses=rigid_witnesses,
+        rigid_face_witnesses=tuple(rigid_witnesses),
     )
-    # Fano already, so reflexive exactly when every facet is at height 1
-    if any(f.height != 1 for f in poly.facets):
+    if not reflexive:
         return ClassificationReport(**common, reflexive=False)
-    indec_witnesses = tuple(_indec_witnesses(table))
-    aft_witnesses = tuple(_aft_witnesses(poly, edges, classes))
+
+    aft_witnesses = []
+    for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
+        c0, c1 = classes[f0], classes[f1]
+        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE or c0.m != c1.m:
+            continue
+        (ax, ay, az), (bx, by, bz) = vertices[a], vertices[b]
+        if gcd(bx - ax, by - ay, bz - az) != c0.m + 1:
+            continue
+        # both are triangles, so each has one apex off the shared edge
+        for g, h in ((f0, f1), (f1, f0)):
+            (apex,) = (i for i in facets[g].vertex_indices if i != a and i != b)
+            if dot(facets[h].normal, vertices[apex]) == 0:
+                aft_witnesses.append((min(f0, f1), max(f0, f1)))
+                break
+    aft_witnesses.sort()
+
+    smooth = kinds == {STANDARD_TRIANGLE}
     deg = _degree(poly)
     return ClassificationReport(
         **common,
         reflexive=True,
-        smooth=_smooth(classes),
-        isolated_singular=_isolated(edges, classes),
-        nodes=_nodes(classes),
+        smooth=smooth,
+        isolated_singular=unitary and not smooth,
+        nodes=STANDARD_SQUARE in kinds and kinds <= _NODE_KINDS,
         indec_obstruction=bool(indec_witnesses),
         aft_obstruction=bool(aft_witnesses),
         low_degree=deg in LOW_DEGREES,
-        indec_witnesses=indec_witnesses,
-        aft_witnesses=aft_witnesses,
+        indec_witnesses=tuple(indec_witnesses),
+        aft_witnesses=tuple(aft_witnesses),
         degree=deg,
         hilbert=tuple(hilbert_from_degree(deg, m_max)),
     )

@@ -15,10 +15,6 @@ Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def dot(a: Vec, b: Vec) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
 
@@ -30,14 +26,6 @@ def cross(a: Vec, b: Vec) -> Vec:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def is_primitive(v: Vec) -> bool:
-    """True if the entries of the nonzero vector v are coprime."""
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector is neither primitive nor imprimitive")
-    return g == 1
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -101,16 +89,6 @@ def det(m: Mat) -> int:
         total += sign * m[0][j] * det(minor)
         sign = -sign
     return total
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    cols = len(b[0])
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("matrix shapes do not match")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
 
 
 def matvec(m: Mat, v: Vec) -> Vec:

@@ -101,10 +101,8 @@ def _plane(p: Vec, q: Vec, r: Vec) -> tuple[int, int, int, int]:
 
 
 def _initial_simplex(points: list[Vec]) -> list[int]:
-    i0 = 0
-    i1 = next((j for j in range(len(points)) if points[j] != points[i0]), None)
-    if i1 is None:
-        raise DegenerateInputError("all points coincide")
+    # ``convex_hull`` passes at least 4 distinct points, so p0 != p1
+    i0, i1 = 0, 1
     # the first point p off the line through p0 and p1: u x (p - p0) != 0
     (x0, y0, z0), (x1, y1, z1) = points[i0], points[i1]
     ux, uy, uz = x1 - x0, y1 - y0, z1 - z0

@@ -17,8 +17,15 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _sub(a, b):
+def sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def matmul(a, b):
+    """Product of two integer matrices given as tuples of row tuples."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
 
 
 def _cross3(a, b):
@@ -41,7 +48,7 @@ def brute_facets(points):
     points = [tuple(p) for p in points]
     facets = {}
     for a, b, c in combinations(points, 3):
-        n = _cross3(_sub(b, a), _sub(c, a))
+        n = _cross3(sub(b, a), sub(c, a))
         if n == (0, 0, 0):
             continue
         g = _content(n)
@@ -110,8 +117,8 @@ def jarvis_hull_2d(points):
             if candidate is None:
                 candidate = p
                 continue
-            turn = _det2(_sub(candidate, current), _sub(p, current))
-            if turn < 0 or (turn == 0 and _dot(_sub(p, current), _sub(p, current)) > _dot(_sub(candidate, current), _sub(candidate, current))):
+            turn = _det2(sub(candidate, current), sub(p, current))
+            if turn < 0 or (turn == 0 and _dot(sub(p, current), sub(p, current)) > _dot(sub(candidate, current), sub(candidate, current))):
                 candidate = p
         if candidate == start:
             break
@@ -139,7 +146,7 @@ def polygon_lattice_points(vertices):
     if len(vs) == 1:
         return set(vs)
     if len(vs) == 2:
-        d = _sub(vs[1], vs[0])
+        d = sub(vs[1], vs[0])
         g = gcd(d[0], d[1])
         step = (d[0] // g, d[1] // g)
         return {(vs[0][0] + k * step[0], vs[0][1] + k * step[1]) for k in range(g + 1)}
@@ -154,7 +161,7 @@ def polygon_lattice_points(vertices):
             inside = True
             for i in range(len(vs)):
                 a, b = vs[i], vs[(i + 1) % len(vs)]
-                if _det2(_sub(b, a), _sub((x, y), a)) < 0:
+                if _det2(sub(b, a), sub((x, y), a)) < 0:
                     inside = False
                     break
             if inside:
@@ -173,14 +180,14 @@ def agl2_equivalent(vs, ws) -> bool:
     if len(vs) != len(ws):
         return False
     k = len(vs)
-    e1, e2 = _sub(vs[1 % k], vs[0]), _sub(vs[2 % k], vs[1 % k])
+    e1, e2 = sub(vs[1 % k], vs[0]), sub(vs[2 % k], vs[1 % k])
     dv = _det2(e1, e2)
     if dv == 0:
         raise ValueError("degenerate cycle")
     for target in (ws, ws[::-1]):
         for r in range(k):
             cyc = target[r:] + target[:r]
-            f1, f2 = _sub(cyc[1 % k], cyc[0]), _sub(cyc[2 % k], cyc[1 % k])
+            f1, f2 = sub(cyc[1 % k], cyc[0]), sub(cyc[2 % k], cyc[1 % k])
             # solve M @ [e1 e2] = [f1 f2] over Q, demand an integer unimodular M
             adj = ((e2[1], -e2[0]), (-e1[1], e1[0]))
             m_num = (
@@ -192,7 +199,7 @@ def agl2_equivalent(vs, ws) -> bool:
             m = tuple(tuple(x // dv for x in row) for row in m_num)
             if abs(_det2(m[0], m[1])) != 1:
                 continue
-            t = _sub(cyc[0], (_dot(m[0], vs[0]), _dot(m[1], vs[0])))
+            t = sub(cyc[0], (_dot(m[0], vs[0]), _dot(m[1], vs[0])))
             if all(
                 (_dot(m[0], v) + t[0], _dot(m[1], v) + t[1]) == c
                 for v, c in zip(vs, cyc)
@@ -213,7 +220,7 @@ def polygon_edges(vertices):
         return ()
     out = []
     for a, b in zip(vs, vs[1:] + vs[:1]):
-        d = _sub(b, a)
+        d = sub(b, a)
         t = next(
             t for t in range(max(abs(d[0]), abs(d[1])), 0, -1)
             if d[0] % t == 0 and d[1] % t == 0

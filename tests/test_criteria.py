@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -21,7 +22,6 @@ from conftest import (
     large_shear,
 )
 from fano3.criteria import (
-    _edge_table,
     classify,
     criterion_aft,
     criterion_indec,
@@ -110,9 +110,9 @@ class TestTotaroRigid:
         assert not criterion_totaro_rigid(hull(FANO_UNITARY_NOT_HEIGHT_ONE))
 
     def test_basis_edge_iff_unitary_height_one(self, reflexive_pool):
-        # the edge test both rigidity criteria share, against the pair of
-        # conditions the Totaro criterion states; the edge table's two facts
-        # against the generic references
+        # the edge test both rigidity verdicts share, against the pair of
+        # conditions the Totaro criterion states; the two verdicts against
+        # references built from those conditions and from det3
         rng = random.Random(0x7E57)
         pool = random.Random(0xB0C5).sample(reflexive_pool, 30)
         inputs = list(NAMED_FANO.values()) + pool + [FANO_UNITARY_NOT_HEIGHT_ONE]
@@ -120,15 +120,28 @@ class TestTotaroRigid:
         outcomes = set()
         for pts in inputs:
             poly = hull(pts)
-            table = _edge_table(poly)
-            assert list(table) == list(poly.edges)
+            rigid = True
             for i, (a, b) in enumerate(poly.edges):
                 va, vb = poly.vertices[a], poly.vertices[b]
-                unitary = poly.edge_lattice_length(i) == 1
+                length = poly.edge_lattice_length(i)
+                assert length == gcd(*(y - x for x, y in zip(va, vb)))
+                unitary = length == 1
                 height_one = solve_height_one(va, vb) is not None
                 assert extends_to_basis((va, vb)) == (unitary and height_one)
-                assert table[a, b] == (poly.edge_lattice_length(i), unitary and height_one)
+                rigid = rigid and unitary and height_one
                 outcomes.add((unitary, height_one))
+            triangles = [
+                fi for fi, f in enumerate(poly.facets) if len(f.vertex_indices) == 3
+            ]
+            rep = classify(poly)
+            assert rep.totaro_rigid == (len(triangles) == len(poly.facets) and rigid)
+            witnesses = []
+            for fi in triangles:
+                verts = [poly.vertices[i] for i in poly.facets[fi].vertex_indices]
+                edges = [(verts[k], verts[(k + 1) % 3]) for k in range(3)]
+                if abs(det3(verts)) != 1 and all(map(extends_to_basis, edges)):
+                    witnesses.append(fi)
+            assert rep.rigid_face_witnesses == tuple(witnesses)
         assert outcomes == {(True, True), (False, True), (True, False)}
 
 
@@ -158,7 +171,7 @@ class TestRigidFace:
 
     def test_each_edge_tested_once(self, reflexive_pool, monkeypatch):
         # one classify call tests each edge once, in edge order, for the
-        # rigid-face, Totaro, isolated and AFT verdicts together
+        # rigid-face and Totaro verdicts together
         calls = []
 
         def counted(a, b):
@@ -357,12 +370,19 @@ class TestClassify:
             criterion_aft,
             criterion_low_degree,
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="criterion requires a reflexive polytope"):
+                fn(poly)
+
+    def test_fano_criteria_raise_on_non_fano_input(self):
+        # the criteria's own guard, not the message of classify's
+        poly = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
+        for fn in (criterion_totaro_rigid, criterion_rigid_face):
+            with pytest.raises(ValueError, match="criterion requires a Fano polytope"):
                 fn(poly)
 
     def test_verdicts_match_public_criteria(self, reflexive_pool):
-        # classify hands its facet and edge tables to the helpers, the public
-        # criteria build their own; the two routes must give the same verdicts
+        # each public criterion is its guard and one field of classify's
+        # report; this pins the public API to the report
         rng = random.Random(0x0DD5)
         pool = random.Random(0x51DE).sample(reflexive_pool, 30)
         inputs = list(NAMED_FANO.values()) + pool

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matmul
+
 from fano3.intlinalg import (
     det,
     det3,
@@ -11,8 +13,6 @@ from fano3.intlinalg import (
     extends_to_basis,
     identity,
     inverse_unimodular,
-    is_primitive,
-    matmul,
     matvec,
     plane_basis,
     smith_normal_form,
@@ -47,17 +47,6 @@ class TestDet3:
     @given(matrices(3, 3), matrices(3, 3))
     def test_multiplicative(self, a, b):
         assert det3(matmul(a, b)) == det3(a) * det3(b)
-
-
-class TestPrimitive:
-    def test_examples(self):
-        assert is_primitive((0, -1, 1))
-        assert not is_primitive((2, 4, 6))
-        assert is_primitive((0, 0, -1))
-
-    def test_zero_vector(self):
-        with pytest.raises(ValueError):
-            is_primitive((0, 0, 0))
 
 
 class TestSmithNormalForm:

@@ -14,7 +14,7 @@ from conftest import (
     large_shear,
 )
 from fano3 import polytope
-from fano3.intlinalg import cross, dot, plane_basis, vsub
+from fano3.intlinalg import cross, dot, plane_basis
 from fano3.polygon import convex_hull_2d
 from fano3.polytope import (
     DegenerateInputError,
@@ -106,7 +106,7 @@ class TestConvexHull:
                 assert facet.polygon.vertices == hull_2d.vertices
                 for k in range(len(cyc)):
                     a, b, c = cyc[k], cyc[(k + 1) % len(cyc)], cyc[(k + 2) % len(cyc)]
-                    turn = cross(vsub(b, a), vsub(c, b))
+                    turn = cross(oracles.sub(b, a), oracles.sub(c, b))
                     assert dot(turn, facet.normal) >= 0
                     assert turn != (0, 0, 0)
 
