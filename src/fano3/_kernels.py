@@ -23,13 +23,10 @@ def box_columns(normals, bounds, lo, hi):
 
     The integer points p with lo <= p <= hi and normals @ p <= bounds are
     exactly the (x, y, z) with zlo <= z <= zhi over the yielded columns.
-    ``normals`` is a sequence of integer 3-vectors, ``bounds`` the matching
-    right-hand sides.  Exact for integers of any size.
+    ``normals`` is a sequence of 3-vectors, ``bounds`` the matching
+    right-hand sides, all of them Python ints, as ``_dilated_system`` reads
+    them from the hull; nothing is coerced here.  Exact for ints of any size.
     """
-    normals = [tuple(int(c) for c in n) for n in normals]
-    bounds = [int(b) for b in bounds]
-    lo = tuple(int(c) for c in lo)
-    hi = tuple(int(c) for c in hi)
     for x in range(lo[0], hi[0] + 1):
         for y in range(lo[1], hi[1] + 1):
             zlo, zhi = lo[2], hi[2]

@@ -57,6 +57,7 @@ def _classify_record(args) -> ClassificationReport:
 
 
 def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
+    """The reports in record order; the writers order them by id."""
     tasks = [(rec, m_max) for rec in records]
     # a fork pool starts all its workers at once: no more workers than chunks
     workers = min(jobs, -(-len(tasks) // _CHUNK))
@@ -70,7 +71,7 @@ def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
             reports = [_classify_record(t) for t in tasks]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return sorted(reports, key=lambda r: r.polytope_id)
+    return reports
 
 
 def _computed_lists(reports) -> dict[str, list[int]]:
@@ -144,8 +145,7 @@ def _diff_line(name, computed: set[int], expected: set[int], full: bool) -> tupl
 
 def cmd_verify(args) -> int:
     records = _load_records(args.input, args.format, args.sidecar)
-    reports = _classify_all(records, args.jobs, 0)
-    lists = _computed_lists(reports)
+    # a bad expected file fails before the database is classified
     try:
         expected = (
             db.load_expected_lists(args.expected)
@@ -154,6 +154,7 @@ def cmd_verify(args) -> int:
         )
     except (OSError, DatabaseFormatError) as exc:
         raise InputError(str(exc)) from exc
+    lists = _computed_lists(_classify_all(records, args.jobs, 0))
     all_match = True
     for name, ids in expected.items():
         if name in lists:

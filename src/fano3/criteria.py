@@ -279,12 +279,11 @@ def classify(
         return ClassificationReport(**common, reflexive=False)
 
     aft_witnesses = []
-    for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
+    for ei, ((a, b), (f0, f1)) in enumerate(zip(poly.edges, poly.facet_adjacency)):
         c0, c1 = classes[f0], classes[f1]
         if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE or c0.m != c1.m:
             continue
-        (ax, ay, az), (bx, by, bz) = vertices[a], vertices[b]
-        if gcd(bx - ax, by - ay, bz - az) != c0.m + 1:
+        if poly.edge_lattice_length(ei) != c0.m + 1:
             continue
         # both are triangles, so each has one apex off the shared edge
         for g, h in ((f0, f1), (f1, f0)):

@@ -120,10 +120,8 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
 
 
 def load_id_sidecar(path) -> list[int]:
-    """Read an ID sidecar: a JSON array of ints, or ``{"ids": [...]}``."""
+    """Read an ID sidecar: a JSON array of integer ids, one per PALP block."""
     data = _load_json(path)
-    if isinstance(data, dict):
-        data = data.get("ids")
     if not isinstance(data, list) or not all(_is_int(i) for i in data):
         raise DatabaseFormatError("sidecar must be a JSON array of integer ids")
     return data
@@ -159,15 +157,6 @@ def parse_json(path) -> list[PolytopeRecord]:
         records.append(PolytopeRecord(id=pid, vertices=vertices))
     _check_unique_ids(records)
     return records
-
-
-def write_records(records, path) -> None:
-    data = [
-        {"id": rec.id, "vertices": [list(v) for v in rec.vertices]} for rec in records
-    ]
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
 
 
 def _check_lists(data) -> dict:
@@ -255,10 +244,3 @@ def write_reports(reports, path, format: str = "json") -> None:
                 writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
     else:
         raise ValueError(f"unknown report format {format!r}")
-
-
-def read_reports(path) -> list[dict]:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise DatabaseFormatError("report file must be a JSON array")
-    return data

@@ -286,49 +286,24 @@ class MinkowskiDecomposition:
 
 
 def _summand_polygon(poly: LatticePolygon, assignment: tuple[int, ...]) -> LatticePolygon:
-    """Build the summand polygon determined by a nonzero assignment.
+    """The summand polygon of a nonzero admissible assignment.
 
     The summand's boundary is walked in the parent's cyclic order starting
-    just after its lowest-indexed edge, anchored at the origin.  The full
-    assignment returns the parent polygon unchanged.
+    just after its lowest-indexed edge, anchored at the origin; the step
+    along that edge closes the cycle, since the assignment is admissible.
+    The full assignment gives the parent polygon itself.
     """
     edges = poly.edges
     if all(a == length for a, (_, length) in zip(assignment, edges)):
-        return LatticePolygon(poly.vertices)
+        return poly
     present = [i for i, a in enumerate(assignment) if a > 0]
-    if not present:
-        raise ValueError("zero assignment does not give a summand")
-    order = present[1:] + [present[0]]
-    pos = (0, 0)
-    verts = [pos]
-    for i in order[:-1]:
+    x = y = 0
+    verts = [(0, 0)]
+    for i in present[1:]:
         (dx, dy), _ = edges[i]
-        a = assignment[i]
-        pos = (pos[0] + a * dx, pos[1] + a * dy)
-        verts.append(pos)
-    (dx, dy), _ = edges[order[-1]]
-    a = assignment[order[-1]]
-    if (pos[0] + a * dx, pos[1] + a * dy) != (0, 0):
-        raise ValueError("assignment does not close up")
+        x, y = x + assignment[i] * dx, y + assignment[i] * dy
+        verts.append((x, y))
     return LatticePolygon(tuple(verts))
-
-
-def decomposition_from_assignments(
-    poly: LatticePolygon, parts: list[tuple[int, ...]]
-) -> MinkowskiDecomposition:
-    """Assemble a decomposition from assignment vectors that sum to the full one."""
-    lengths = tuple(length for _, length in poly.edges)
-    total = [0] * len(lengths)
-    for part in parts:
-        for i, a in enumerate(part):
-            total[i] += a
-    if tuple(total) != lengths:
-        raise ValueError("assignments do not add up to the polygon")
-    ordered = tuple(sorted(parts, reverse=True))
-    return MinkowskiDecomposition(
-        assignments=ordered,
-        summands=tuple(_summand_polygon(poly, part) for part in ordered),
-    )
 
 
 def maximal_decompositions(poly: LatticePolygon) -> list[MinkowskiDecomposition]:
@@ -336,9 +311,14 @@ def maximal_decompositions(poly: LatticePolygon) -> list[MinkowskiDecomposition]
 
     Indecomposable summands correspond to the minimal nonzero admissible
     assignments, so the decompositions are the multiset partitions of the
-    full assignment into minimal ones.  Partitions producing the same
-    summand multiset are reported once.  When the polygon itself is
-    indecomposable the single trivial decomposition is returned.
+    full assignment into minimal ones, each built from one summand polygon
+    per minimal assignment.  The search takes the minimal assignments in
+    descending order and never returns to an earlier one, so it reaches
+    each multiset once, with its parts in descending order; the edges of a
+    convex polygon have distinct directions, so distinct multisets give
+    distinct summands.  The decompositions are listed by ``key``.  When the
+    polygon itself is indecomposable the single trivial decomposition is
+    returned.
     """
     assignments = enumerate_summand_vectors(poly)
     nonzero = [a for a in assignments if any(a)]
@@ -350,13 +330,16 @@ def maximal_decompositions(poly: LatticePolygon) -> list[MinkowskiDecomposition]
         )
     ]
     minimal.sort(reverse=True)
+    summands = {a: _summand_polygon(poly, a) for a in minimal}
     full = tuple(length for _, length in poly.edges)
 
-    partitions: list[list[tuple[int, ...]]] = []
+    decompositions: list[MinkowskiDecomposition] = []
 
     def search(remaining: tuple[int, ...], start: int, used: list[tuple[int, ...]]):
         if not any(remaining):
-            partitions.append(list(used))
+            decompositions.append(
+                MinkowskiDecomposition(tuple(used), tuple(summands[a] for a in used))
+            )
             return
         for idx in range(start, len(minimal)):
             part = minimal[idx]
@@ -366,9 +349,5 @@ def maximal_decompositions(poly: LatticePolygon) -> list[MinkowskiDecomposition]
                 used.pop()
 
     search(full, 0, [])
-
-    seen = {}
-    for parts in partitions:
-        dec = decomposition_from_assignments(poly, parts)
-        seen.setdefault(dec.key(), dec)
-    return [seen[k] for k in sorted(seen)]
+    decompositions.sort(key=MinkowskiDecomposition.key)
+    return decompositions

@@ -10,7 +10,6 @@ and keeps the resulting lattice polygon on the ``Facet``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from math import gcd
 from operator import index
 
@@ -100,7 +99,12 @@ def _plane(p: Vec, q: Vec, r: Vec) -> tuple[int, int, int, int]:
     return nx, ny, nz, nx * px + ny * py + nz * pz
 
 
-def _initial_simplex(points: list[Vec]) -> list[int]:
+def _initial_simplex(points: list[Vec]) -> tuple[int, int, int, int]:
+    """Indices (a, b, c, d) of a simplex with d below the plane of (a, b, c).
+
+    The triangles (a, b, c), (a, d, b), (b, d, c) and (c, d, a) are then
+    its boundary, oriented outward.
+    """
     # ``convex_hull`` passes at least 4 distinct points, so p0 != p1
     i0, i1 = 0, 1
     # the first point p off the line through p0 and p1: u x (p - p0) != 0
@@ -113,13 +117,15 @@ def _initial_simplex(points: list[Vec]) -> list[int]:
     else:
         raise DegenerateInputError("points are collinear")
     nx, ny, nz, offset = _plane(points[i0], points[i1], points[i2])
-    i3 = next(
-        (j for j, (x, y, z) in enumerate(points) if nx * x + ny * y + nz * z != offset),
-        None,
-    )
-    if i3 is None:
+    for i3, (x, y, z) in enumerate(points):
+        value = nx * x + ny * y + nz * z
+        if value != offset:
+            break
+    else:
         raise DegenerateInputError("points are coplanar, expected dimension 3")
-    return [i0, i1, i2, i3]
+    if value > offset:
+        i1, i2 = i2, i1
+    return i0, i1, i2, i3
 
 
 def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
@@ -145,13 +151,9 @@ def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
         edge_owner[a, b] = edge_owner[b, c] = edge_owner[c, a] = next_id
         next_id += 1
 
-    # each face of the simplex, with the vertex off it
-    for (a, b, c), opposite in zip(combinations(base, 3), reversed(base)):
-        nx, ny, nz, offset = _plane(points[a], points[b], points[c])
-        x, y, z = points[opposite]
-        if nx * x + ny * y + nz * z > offset:
-            b, c = c, b
-        add_face(a, b, c)
+    a, b, c, d = base
+    for face in ((a, b, c), (a, d, b), (b, d, c), (c, d, a)):
+        add_face(*face)
 
     for p, (x, y, z) in enumerate(points):
         if p in base:

@@ -17,6 +17,7 @@ from conftest import (
     TETRAHEDRON,
 )
 import fano3
+from fano3 import cli
 from fano3.cli import main
 
 FIXTURE_DB = [
@@ -28,6 +29,11 @@ FIXTURE_DB = [
     {"id": 6, "vertices": [list(v) for v in AFT_FIXTURE]},
     {"id": 7, "vertices": [list(v) for v in RIGID_FIXTURE]},
 ]
+
+# the pentagon pyramid (id 1) and the simplex of P^3 (id 2), the records
+# of the CI smoke test
+SMOKE_PALP = "3 6\n1 1 0 -1 0 0\n0 1 1 0 -1 0\n1 1 1 1 1 -1\n4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"
+NOT_FANO = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]]
 
 
 @pytest.fixture()
@@ -167,6 +173,16 @@ class TestListsCommand:
         assert main(["lists", str(db_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["L_smooth"] == [1, 2]
 
+    def test_sidecar_renumbers_palp_records(self, tmp_path, capsys):
+        palp = tmp_path / "db.palp"
+        palp.write_text(SMOKE_PALP)
+        sidecar = tmp_path / "ids.json"
+        sidecar.write_text("[7, 9]")
+        assert main(["lists", str(palp), "--sidecar", str(sidecar)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["L_smooth"] == [9]
+        assert payload["L_isol"] == [7]
+
     def test_bool_ids_are_input_errors(self, tmp_path, capsys):
         verts = [list(v) for v in OCTAHEDRON]
         as_json = tmp_path / "bool.json"
@@ -248,6 +264,20 @@ class TestVerifyCommand:
         exp.write_text("oops")
         assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
 
+    @pytest.mark.parametrize("text", ["oops", "[1]"], ids=["not_json", "not_object"])
+    def test_bad_expected_fails_before_classifying(
+        self, db_path, tmp_path, monkeypatch, capsys, text
+    ):
+        def no_classify(*args):
+            raise AssertionError("classified before the expected file was read")
+
+        monkeypatch.setattr(cli, "_classify_all", no_classify)
+        exp = tmp_path / "expected.json"
+        exp.write_text(text)
+        assert main(["verify", str(db_path), "--expected", str(exp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_lists_output_round_trips(self, db_path, tmp_path, capsys):
         lists = tmp_path / "lists.json"
         assert main(["lists", str(db_path), "--out", str(lists)]) == 0
@@ -292,6 +322,53 @@ def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {"db.palp": SMOKE_PALP, "ids.json": '{"ids": [7, 9]}'},
+            ["lists", "db.palp", "--sidecar", "ids.json"],
+            "sidecar must be a JSON array of integer ids",
+        ),
+        (
+            {"db.json": "[]", "ids.json": "[7, 9]"},
+            ["lists", "db.json", "--sidecar", "ids.json"],
+            "id sidecars apply to palp input only",
+        ),
+        (
+            {"db.json": json.dumps([{"id": 3, "vertices": NOT_FANO}])},
+            ["inspect", "db.json", "--id", "3"],
+            "polytope 3: classification requires a Fano polytope",
+        ),
+        ({"db.palp": "3\n"}, ["lists", "db.palp"], "record 1: malformed header '3'"),
+        ({"db.palp": "3 x\n"}, ["lists", "db.palp"], "record 1: non-integer header"),
+        ({"db.palp": "0 3\n"}, ["lists", "db.palp"], "record 1: bad shape 0x3"),
+        (
+            {"db.json": "[]", "e.json": "[1, 2]"},
+            ["verify", "db.json", "--expected", "e.json"],
+            "expected-lists file must be a JSON object",
+        ),
+    ],
+    ids=[
+        "sidecar_object",
+        "sidecar_with_json",
+        "inspect_not_fano",
+        "palp_header_3",
+        "palp_header_3_x",
+        "palp_header_0_3",
+        "expected_not_object",
+    ],
+)
+def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 class TestInspectCommand:

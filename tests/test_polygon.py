@@ -13,7 +13,6 @@ from fano3.polygon import (
     LatticePolygon,
     classify_polygon,
     convex_hull_2d,
-    decomposition_from_assignments,
     edge_lattice_lengths,
     enumerate_summand_vectors,
     facet_to_polygon,
@@ -27,6 +26,11 @@ from fano3.polytope import convex_hull, polar
 UNIT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 HEXAGON = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+DIAMOND = ((2, 0), (0, 2), (-2, 0), (0, -2))
+# a facet of the Fano polytope with vertices (2, 1, 1), (-1, 2, 2),
+# (-2, 3, -2), (0, -3, 2), (-2, -3, 3), (3, -3, -2), (-2, -1, 3),
+# (2, -1, 1), flattened; it has two maximal decompositions
+KEY_ORDER_PENTAGON = ((-1, -1), (1, -3), (3, -3), (3, -2), (1, -1))
 # a convex heptagon, counterclockwise
 HEPTAGON = ((0, 0), (2, 0), (4, 1), (5, 3), (3, 5), (1, 4), (-1, 2))
 
@@ -286,20 +290,50 @@ class TestMaximalDecompositions:
         assert len(decs) == 1
         assert decs[0].summands == (LatticePolygon(UNIT_TRIANGLE),)
 
-    def test_rejects_incomplete_assignments(self):
-        poly = pentagon()
-        with pytest.raises(ValueError):
-            decomposition_from_assignments(poly, [(1, 1, 0, 1, 0)])
+    @pytest.fixture(scope="class")
+    def polygons(self, reflexive_pool):
+        """Named polygons, and each facet of 30 pool polytopes and their polars."""
+        named = (PENTAGON, UNIT_SQUARE, HEXAGON, KEY_ORDER_PENTAGON, am_triangle(2), DIAMOND)
+        polys = [LatticePolygon(verts) for verts in named]
+        for pts in reflexive_pool[:30]:
+            poly = convex_hull(pts)
+            polys += [f.polygon for p in (poly, polar(poly)) for f in p.facets]
+        return polys
 
-    def test_summands_reconstruct_polygon(self):
-        for verts in (PENTAGON, UNIT_SQUARE, am_triangle(2), ((2, 0), (0, 2), (-2, 0), (0, -2))):
-            poly = LatticePolygon(verts)
+    def test_summands_reconstruct_polygon(self, polygons):
+        for poly in polygons:
             for dec in maximal_decompositions(poly):
                 total = oracles.minkowski_sum_2d([s.vertices for s in dec.summands])
-                assert oracles.normalize_translation(total) == oracles.normalize_translation(verts)
+                assert oracles.normalize_translation(total) == oracles.normalize_translation(
+                    poly.vertices
+                )
+
+    def test_decompositions_distinct_and_complete(self, polygons):
+        # no two decompositions share a key, and each one's assignments
+        # add up to the edge lengths of the polygon
+        multiple = 0
+        for poly in polygons:
+            decs = maximal_decompositions(poly)
+            multiple += len(decs) > 1
+            assert len({dec.key() for dec in decs}) == len(decs)
+            lengths = [length for _, length in poly.edges]
+            for dec in decs:
+                assert [sum(column) for column in zip(*dec.assignments)] == lengths
+                assert list(dec.assignments) == sorted(dec.assignments, reverse=True)
+        assert multiple >= 4
+
+    def test_listed_by_key(self):
+        # the partition search, which takes the largest assignment first,
+        # finds the second of these first; ``inspect`` prints them by key
+        decs = maximal_decompositions(LatticePolygon(KEY_ORDER_PENTAGON))
+        assert [dec.assignments for dec in decs] == [
+            ((1, 1, 0, 1, 0), (1, 0, 1, 0, 1), (0, 1, 0, 0, 1)),
+            ((2, 0, 1, 1, 0), (0, 1, 0, 0, 1), (0, 1, 0, 0, 1)),
+        ]
+        assert [dec.key() for dec in decs] == sorted(dec.key() for dec in decs)
 
     def test_summands_are_indecomposable(self):
-        for verts in (PENTAGON, UNIT_SQUARE, ((2, 0), (0, 2), (-2, 0), (0, -2))):
+        for verts in (PENTAGON, UNIT_SQUARE, DIAMOND):
             for dec in maximal_decompositions(LatticePolygon(verts)):
                 for s in dec.summands:
                     assert is_minkowski_indecomposable(s)

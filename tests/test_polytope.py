@@ -1,5 +1,6 @@
 import random
 from dataclasses import fields
+from itertools import permutations
 
 import pytest
 
@@ -164,6 +165,26 @@ class TestConvexHull:
         assert convex_hull(poly.vertices) == poly
         assert {f.normal: f.height for f in poly.facets} == oracles.brute_facets(pts)
 
+    @pytest.mark.parametrize("name", sorted(NAMED_FANO))
+    def test_first_four_points_in_any_order(self, name):
+        # the first four points seed the simplex, which is oriented by
+        # swapping two of them or not: the 24 orderings take both branches
+        # and give the same facets, each with the same vertex cycle
+        pts = list(NAMED_FANO[name])
+
+        def facets(points):
+            poly = convex_hull(points)
+            return [(f.normal, f.height, [poly.vertices[i] for i in f.vertex_indices])
+                    for f in poly.facets]
+
+        expected = facets(pts)
+        swapped = set()
+        for head in permutations(pts[:4]):
+            ordered = list(head) + pts[4:]
+            swapped.add(polytope._initial_simplex(ordered)[1] != 1)
+            assert facets(ordered) == expected
+        assert swapped == {True, False}
+
     def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
         # the hull charts each facet plane once, and keeps no chart
         assert "chart" not in {f.name for f in fields(Facet)}
@@ -304,3 +325,6 @@ class TestLatticePoints:
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):
             lattice_points(convex_hull(PYRAMID), -1)
+        # the scan takes ints only: a float dilation is not truncated
+        with pytest.raises(TypeError):
+            lattice_points(convex_hull(PYRAMID), 1.5)
