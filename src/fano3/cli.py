@@ -5,7 +5,8 @@ classification and write static reports.  Output ordering is by polytope id,
 so results are bit-identical across runs and across worker counts.
 
 Exit codes: 0 on success (and on a clean verify match), 1 when verify finds
-a mismatch, 2 on input errors.
+a mismatch, 2 on input errors.  ``main`` is the one error boundary: it prints
+an input error, also one raised in a worker process, as one ``error: `` line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .criteria import ClassificationReport, classify
 from .lift import minkowski_lift
 from .polygon import maximal_decompositions
 from .polytope import convex_hull
-from .db import DatabaseFormatError
 
 
 _CHUNK = 32  # records per task sent to a worker process
@@ -30,30 +30,17 @@ class InputError(Exception):
     pass
 
 
-def _load_records(path: str, format: str, sidecar: str | None):
-    if format == "auto":
-        format = "json" if path.endswith(".json") else "palp"
-    try:
-        if format == "json":
-            if sidecar is not None:
-                raise InputError("id sidecars apply to palp input only")
-            return db.parse_json(path)
-        ids = db.load_id_sidecar(sidecar) if sidecar else None
-        with open(path, encoding="utf-8") as fh:
-            return db.parse_palp(fh, ids=ids)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
-    except (OSError, DatabaseFormatError) as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _classify_record(args) -> ClassificationReport:
-    record, m_max = args
+def _hull_and_classify(record, m_max: int):
+    """The hull of one record and its report; a bad record names its id."""
     try:
         poly = convex_hull(record.vertices)
-        return classify(poly, polytope_id=record.id, m_max=m_max)
+        return poly, classify(poly, polytope_id=record.id, m_max=m_max)
     except ValueError as exc:
-        raise ValueError(f"polytope {record.id}: {exc}") from exc
+        raise InputError(f"polytope {record.id}: {exc}") from exc
+
+
+def _classify_record(task) -> ClassificationReport:
+    return _hull_and_classify(*task)[1]
 
 
 def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
@@ -61,17 +48,12 @@ def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
     tasks = [(rec, m_max) for rec in records]
     # a fork pool starts all its workers at once: no more workers than chunks
     workers = min(jobs, -(-len(tasks) // _CHUNK))
-    try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_classify_record, tasks, chunksize=_CHUNK))
-        else:
-            reports = [_classify_record(t) for t in tasks]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return reports
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_classify_record, tasks, chunksize=_CHUNK))
+    return [_classify_record(t) for t in tasks]
 
 
 def _computed_lists(reports) -> dict[str, list[int]]:
@@ -100,7 +82,7 @@ def _write_output(path: str, write) -> None:
 
 def cmd_classify(args) -> int:
     _check_mmax(args.mmax)
-    records = _load_records(args.input, args.format, args.sidecar)
+    records = db.read_records(args.input, args.sidecar)
     reports = _classify_all(records, args.jobs, args.mmax)
     _write_output(
         args.out, lambda path: db.write_reports(reports, path, format=args.report)
@@ -110,31 +92,32 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lists(args) -> int:
-    records = _load_records(args.input, args.format, args.sidecar)
+    records = db.read_records(args.input, args.sidecar)
     reports = _classify_all(records, args.jobs, 0)
     payload = _computed_lists(reports)
     payload[db.UNION_KEY] = _union_size(payload)
     text = json.dumps(payload, indent=1) + "\n"
-    if args.out:
+    if args.out is not None:
         _write_output(args.out, lambda path: Path(path).write_text(text))
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _diff_line(name, computed: set[int], expected: set[int], full: bool) -> tuple[str, bool]:
+_SHOWN_IDS = 10  # missing and extra ids that verify prints per list
+
+
+def _diff_line(name, computed: set[int], expected: set[int]) -> tuple[str, bool]:
     missing = sorted(expected - computed)
     extra = sorted(computed - expected)
     ok = not missing and not extra
     line = f"{name}: computed {len(computed)}, expected {len(expected)}"
     if ok:
         return line + ", match", True
-    cap = None if full else 10
 
     def clip(ids):
-        shown = ids if cap is None else ids[:cap]
-        suffix = "" if cap is None or len(ids) <= cap else f" (+{len(ids) - cap} more)"
-        return str(shown) + suffix
+        suffix = "" if len(ids) <= _SHOWN_IDS else f" (+{len(ids) - _SHOWN_IDS} more)"
+        return str(ids[:_SHOWN_IDS]) + suffix
 
     if missing:
         line += f"\n  missing: {clip(missing)}"
@@ -144,21 +127,18 @@ def _diff_line(name, computed: set[int], expected: set[int], full: bool) -> tupl
 
 
 def cmd_verify(args) -> int:
-    records = _load_records(args.input, args.format, args.sidecar)
+    records = db.read_records(args.input, args.sidecar)
     # a bad expected file fails before the database is classified
-    try:
-        expected = (
-            db.load_expected_lists(args.expected)
-            if args.expected
-            else db.reference_lists()
-        )
-    except (OSError, DatabaseFormatError) as exc:
-        raise InputError(str(exc)) from exc
+    expected = (
+        db.load_expected_lists(args.expected)
+        if args.expected is not None
+        else db.reference_lists()
+    )
     lists = _computed_lists(_classify_all(records, args.jobs, 0))
     all_match = True
     for name, ids in expected.items():
         if name in lists:
-            line, ok = _diff_line(name, set(lists[name]), ids, args.full)
+            line, ok = _diff_line(name, set(lists[name]), ids)
             print(line)
             all_match = all_match and ok
     union = _union_size(lists)
@@ -172,16 +152,12 @@ def cmd_verify(args) -> int:
 
 def cmd_inspect(args) -> int:
     _check_mmax(args.mmax)
-    records = _load_records(args.input, args.format, args.sidecar)
+    records = db.read_records(args.input, args.sidecar)
     matches = [rec for rec in records if rec.id == args.id]
     if not matches:
         raise InputError(f"no polytope with id {args.id}")
     record = matches[0]
-    try:
-        poly = convex_hull(record.vertices)
-        report = classify(poly, polytope_id=record.id, m_max=args.mmax)
-    except ValueError as exc:
-        raise InputError(f"polytope {record.id}: {exc}") from exc
+    poly, report = _hull_and_classify(record, args.mmax)
 
     print(f"polytope {record.id}")
     print(f"  vertices ({len(poly.vertices)}):")
@@ -205,13 +181,7 @@ def cmd_inspect(args) -> int:
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="polytope database file")
-    parser.add_argument(
-        "--format",
-        choices=("auto", "palp", "json"),
-        default="auto",
-        help="input format (auto: json for *.json, palp otherwise)",
-    )
+    parser.add_argument("input", help="polytope database (JSON if named *.json, else PALP)")
     parser.add_argument(
         "--sidecar", default=None, help="JSON id sidecar for palp input"
     )
@@ -244,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="expected-lists JSON (bundled reference lists when absent)",
     )
-    p.add_argument("--full", action="store_true", help="print full diffs")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("inspect", help="dump one polytope in detail")
@@ -258,13 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, db.DatabaseFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,11 @@
 """Reading polytope databases and writing classification results.
 
-Two input formats are supported.  The PALP-style text format is a stream of
-blocks, each a header line with two integers r and c followed by an r x c
-integer matrix; one of r, c must be 3 and the vertices are the columns when
-r = 3, the rows when c = 3.  The JSON format is an array of objects
-``{"id": int, "vertices": [[x, y, z], ...]}``.
+``read_records`` reads a database in one of two formats, chosen by the file
+name: JSON when it ends in ``.json``, in any case, and PALP otherwise.  The
+PALP-style text format is a stream of blocks, each a header line with two
+integers r and c followed by an r x c integer matrix; one of r, c must be 3
+and the vertices are the columns when r = 3, the rows when c = 3.  The JSON
+format is an array of objects ``{"id": int, "vertices": [[x, y, z], ...]}``.
 
 IDs identify polytopes in an external numbering (for the classified
 reflexive 3-polytopes, the Graded Ring Database order).  They are treated as
@@ -25,12 +26,17 @@ class DatabaseFormatError(ValueError):
     """Raised on malformed database input, with the offending record noted."""
 
 
-def _load_json(path):
+def _read_text(path) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _load_json(path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -117,6 +123,16 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
         ]
     _check_unique_ids(records)
     return records
+
+
+def read_records(path: str, sidecar: str | None = None) -> list[PolytopeRecord]:
+    """The records in ``path``; an id ``sidecar`` applies to PALP input only."""
+    if path.lower().endswith(".json"):
+        if sidecar is not None:
+            raise DatabaseFormatError("id sidecars apply to palp input only")
+        return parse_json(path)
+    ids = load_id_sidecar(sidecar) if sidecar is not None else None
+    return parse_palp(_read_text(path), ids=ids)
 
 
 def load_id_sidecar(path) -> list[int]:

@@ -34,6 +34,8 @@ FIXTURE_DB = [
 # of the CI smoke test
 SMOKE_PALP = "3 6\n1 1 0 -1 0 0\n0 1 1 0 -1 0\n1 1 1 1 1 -1\n4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"
 NOT_FANO = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]]
+# a unit square in the plane z = 0: no 3-polytope
+FLAT_PALP = "4 3\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
 
 
 @pytest.fixture()
@@ -116,9 +118,23 @@ class TestClassifyCommand:
         rows = json.loads(out.read_text())
         assert rows[0]["degree"] == 56
 
-    def test_missing_file_is_input_error(self, tmp_path):
+    @pytest.mark.parametrize("role", ["palp", "json", "sidecar", "expected"])
+    def test_missing_file_is_input_error(self, db_path, tmp_path, capsys, role):
+        missing = tmp_path / ("nope.palp" if role == "palp" else "nope.json")
+        palp = tmp_path / "db.palp"
+        palp.write_text(SMOKE_PALP)
         out = tmp_path / "report.json"
-        assert main(["classify", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
+        argv = {
+            "palp": ["lists", str(missing)],
+            "json": ["classify", str(missing), "--out", str(out)],
+            "sidecar": ["lists", str(palp), "--sidecar", str(missing)],
+            "expected": ["verify", str(db_path), "--expected", str(missing)],
+        }[role]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
 
     def test_malformed_json_is_input_error(self, tmp_path):
         bad = tmp_path / "junk.json"
@@ -155,6 +171,22 @@ class TestClassifyCommand:
         out = tmp_path / "report.json"
         assert main(["classify", str(bad), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("command", ["lists", "classify"])
+    def test_error_in_process_pool_is_input_error(self, tmp_path, capsys, command):
+        # 40 records are two chunks of 32, so --jobs 2 runs a real pool, and
+        # record 35, a flat square, fails in the second worker's chunk
+        simplex = SMOKE_PALP[SMOKE_PALP.index("4 3"):]
+        palp = tmp_path / "bad40.palp"
+        palp.write_text(SMOKE_PALP * 17 + FLAT_PALP + simplex + SMOKE_PALP * 2)
+        out = tmp_path / "out.json"
+        assert main([command, str(palp), "--out", str(out), "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: polytope 35: points are coplanar, expected dimension 3"
+        ]
+        assert not out.exists()
+
 
 class TestListsCommand:
     def test_lists_output(self, db_path, tmp_path, capsys):
@@ -172,6 +204,14 @@ class TestListsCommand:
         out = tmp_path / "lists.json"
         assert main(["lists", str(db_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["L_smooth"] == [1, 2]
+
+    def test_json_extension_in_any_case(self, db_path, tmp_path, capsys):
+        upper = tmp_path / "DB.JSON"
+        upper.write_text(db_path.read_text())
+        assert main(["lists", str(db_path)]) == 0
+        lower_out = capsys.readouterr().out
+        assert main(["lists", str(upper)]) == 0
+        assert capsys.readouterr().out == lower_out
 
     def test_sidecar_renumbers_palp_records(self, tmp_path, capsys):
         palp = tmp_path / "db.palp"
@@ -253,6 +293,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "missing: [3]" in out
         assert "extra:   [6]" in out
+
+    def test_diff_shows_ten_ids_per_list(self, db_path, tmp_path, capsys):
+        exp = tmp_path / "expected.json"
+        exp.write_text(json.dumps({"L_smooth": [1, 2, *range(100, 112)], "L_nodes": []}))
+        assert main(["verify", str(db_path), "--expected", str(exp)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == [
+            "L_smooth: computed 2, expected 14",
+            f"  missing: {list(range(100, 110))} (+2 more)",
+            "L_nodes: computed 1, expected 0",
+            "  extra:   [5]",
+        ]
 
     def test_subset_of_lists(self, db_path, tmp_path):
         exp = tmp_path / "expected.json"
@@ -350,6 +402,21 @@ def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
             ["verify", "db.json", "--expected", "e.json"],
             "expected-lists file must be a JSON object",
         ),
+        (
+            {"db.palp": SMOKE_PALP},
+            ["lists", "db.palp", "--sidecar", ""],
+            "[Errno 2] No such file or directory: ''",
+        ),
+        (
+            {"db.json": "[]"},
+            ["verify", "db.json", "--expected", ""],
+            "[Errno 2] No such file or directory: ''",
+        ),
+        (
+            {"db.json": "[]"},
+            ["lists", "db.json", "--out", ""],
+            "cannot write : Is a directory",
+        ),
     ],
     ids=[
         "sidecar_object",
@@ -359,6 +426,9 @@ def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
         "palp_header_3_x",
         "palp_header_0_3",
         "expected_not_object",
+        "sidecar_empty_path",
+        "expected_empty_path",
+        "lists_out_empty_path",
     ],
 )
 def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, message):
