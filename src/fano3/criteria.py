@@ -1,18 +1,18 @@
 """Smoothability, rigidity and obstruction criteria for Fano 3-polytopes.
 
-Each criterion inspects the facet polygons (and for some of them the edges
-or the facet pairing) of a reflexive polytope and contributes a verdict to
-the classification report.  Obstruction criteria report witnesses, i.e. the
+Each criterion inspects the facets (and for some of them the edges or the
+facet pairing) of a reflexive polytope and contributes a verdict to the
+classification report.  Obstruction criteria report witnesses, i.e. the
 facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
 ``classify`` is the one source of every verdict.  It reads the face
 lattice that ``polytope.convex_hull`` built once: one pass over the edges
 tests whether each edge's endpoints extend to a basis of Z^3, one pass
-over the facets classifies each facet polygon and collects the rigid-face
-and indecomposability witnesses, and one pass over the facet pairs of the
-edges collects the AFT witnesses.  Each public ``criterion_*`` function
-checks its guard and reads its field of the report.
+over the facets classifies each facet from its cycle and area and collects
+the rigid-face and indecomposability witnesses, and one pass over the
+facet pairs of the edges collects the AFT witnesses.  Each public
+``criterion_*`` function checks its guard and reads its field of the report.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .polygon import (
     STANDARD_SQUARE,
     STANDARD_TRIANGLE,
     PolygonClass,
+    classify_counts,
     classify_polygon,
     facet_to_polygon,
     is_minkowski_indecomposable,
@@ -245,17 +246,22 @@ def classify(
     rigid_witnesses = []
     indec_witnesses = []
     for fi, facet in enumerate(facets):
-        polygon = facet_to_polygon(poly, fi)
-        cls = classify_polygon(polygon)
+        # a unimodular chart keeps lattice lengths: these are the polygon's
+        cycle = facet.vertex_indices
+        lengths = []
+        ux, uy, uz = vertices[cycle[-1]]
+        for x, y, z in map(vertices.__getitem__, cycle):
+            lengths.append(gcd(x - ux, y - uy, z - uz))
+            ux, uy, uz = x, y, z
+        cls = classify_counts(len(cycle), tuple(sorted(lengths)), facet.area2)
         classes.append(cls)
         kinds.add(cls.kind)
-        # the chart is unimodular, so polygon edges keep their lattice lengths
         facet_unitary = cls.edge_lengths[-1] == 1
         unitary = unitary and facet_unitary
-        if len(facet.vertex_indices) != 3:
+        if len(cycle) != 3:
             triangles = False
-        elif facet.height * polygon.area2 != 1:
-            i, j, k = facet.vertex_indices
+        elif facet.height * facet.area2 != 1:
+            i, j, k = cycle
             if all(
                 (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))
             ):
@@ -264,7 +270,7 @@ def classify(
             reflexive
             and facet_unitary
             and cls.kind != STANDARD_TRIANGLE
-            and is_minkowski_indecomposable(polygon)
+            and is_minkowski_indecomposable(facet_to_polygon(poly, fi))
         ):
             indec_witnesses.append(fi)
 

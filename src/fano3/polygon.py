@@ -1,10 +1,9 @@
 """Lattice polygons in Z^2 and the Minkowski structure of polytope facets.
 
 A facet of a 3-dimensional lattice polytope is flattened to Z^2 by an affine
-unimodular chart, once, when ``polytope.convex_hull`` builds the facet;
-every predicate defined here (classification, edge lengths, decomposability)
-is invariant under such charts, so nothing downstream depends on which chart
-was picked.
+unimodular chart when its polygon is first asked for; every predicate here
+(classification, edge lengths, decomposability) is invariant under such
+charts, so nothing downstream depends on which chart was picked.
 
 Minkowski summands of a convex lattice polygon are enumerated by the edge
 vector method: a lattice summand is exactly a choice of sub-lengths of the
@@ -173,11 +172,10 @@ class PolygonClass:
 def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePolygon:
     """A facet of a 3-polytope flattened to Z^2.
 
-    ``convex_hull`` flattens every facet once, with the unimodular chart of
-    its plane, and keeps the polygon on the facet; this looks it up.  Its
-    vertices follow the facet's vertex cycle and ``facet.chart`` lifts them
-    back.  The result is unique up to AGL(2, Z), which is all that the
-    classification and decomposition predicates can see.
+    This is the facet's ``polygon``, built from its chart points on first
+    access.  Its vertices follow the facet's vertex cycle and ``facet.chart``
+    lifts them back.  The result is unique up to AGL(2, Z), which is all that
+    the classification and decomposition predicates can see.
     """
     if not 0 <= facet_index < len(polytope.facets):
         raise IndexError(f"facet index {facet_index} out of range")
@@ -197,35 +195,27 @@ def has_unitary_edges(poly: LatticePolygon) -> bool:
 
 
 def classify_polygon(poly: LatticePolygon) -> PolygonClass:
-    """Classify a polygon as standard triangle, standard square, A_m or other.
+    """Classify a polygon as standard triangle, standard square, A_m or other."""
+    return classify_counts(len(poly.vertices), edge_lattice_lengths(poly), poly.area2)
+
+
+def classify_counts(k: int, lengths: tuple[int, ...], area2: int) -> PolygonClass:
+    """The class of a polygon with k vertices, sorted edge lengths and area.
 
     A standard triangle is a triangle of normalized area 1; a standard square
     is a quadrilateral whose only lattice points are its four vertices; an
     A_m-triangle (m >= 1) is an empty triangle with edge lengths 1, 1, m+1.
-    By Pick's formula a triangle has normalized area 1 exactly when it is
-    empty with edge lengths 1, 1, 1, so the edge lengths and the interior
-    count, which that formula gives from ``area2`` and their sum, decide all three.
+    A triangle has area 1 exactly when it is empty with edge lengths 1, 1, 1,
+    so the lengths and the interior count, which Pick's formula gives from
+    them and ``area2``, decide all three.
     """
-    k = len(poly.vertices)
-    lengths = edge_lattice_lengths(poly)
-    interior = (poly.area2 - sum(lengths) + 2) // 2 if k >= 3 else 0
-    kind = OTHER
-    m = None
+    interior = (area2 - sum(lengths) + 2) // 2 if k >= 3 else 0
+    kind, m = OTHER, None
     if k == 3 and interior == 0 and lengths[1] == 1:
-        if lengths[2] == 1:
-            kind = STANDARD_TRIANGLE
-        else:
-            kind = AM_TRIANGLE
-            m = lengths[2] - 1
+        kind, m = (STANDARD_TRIANGLE, None) if lengths[2] == 1 else (AM_TRIANGLE, lengths[2] - 1)
     elif k == 4 and interior == 0 and lengths[3] == 1:
         kind = STANDARD_SQUARE
-    return PolygonClass(
-        kind=kind,
-        m=m,
-        vertex_count=k,
-        edge_lengths=lengths,
-        interior_points=interior,
-    )
+    return PolygonClass(kind, m, k, lengths, interior)
 
 
 def enumerate_summand_vectors(poly: LatticePolygon) -> list[tuple[int, ...]]:

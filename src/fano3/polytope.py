@@ -3,13 +3,14 @@
 All geometric predicates are exact 3x3 integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
 vertices), so the hull is built by straightforward incremental insertion.
-The hull flattens each facet once, with a unimodular chart of its plane,
-and keeps the resulting lattice polygon on the ``Facet``.
+Each facet is read off the hull's own triangles, and its lattice polygon
+is built only when something asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import gcd
 from operator import index
 
@@ -20,7 +21,8 @@ from .intlinalg import (
     det3,
     plane_basis,
 )
-from .polygon import AffineChart, LatticePolygon, convex_hull_2d
+from .polygon import AffineChart, LatticePolygon, Vec2
+from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's tracer rebinds it
 
 
 class DegenerateInputError(ValueError):
@@ -33,21 +35,26 @@ class Facet:
 
     The normal is primitive and outward: <normal, v> = height on the facet
     and < height on the rest of the polytope.  The vertex cycle is
-    counterclockwise as seen from outside.  ``polygon`` is the facet in Z^2,
-    vertex for vertex in the same cycle, and ``chart`` lifts its points
-    back onto the facet plane.
+    counterclockwise as seen from outside.  ``area2`` is the normalized area.
+    ``polygon``, built on first access, is the facet in Z^2 with vertices
+    ``chart_points``, the same cycle, which ``chart`` lifts back.
     """
 
     vertex_indices: tuple[int, ...]
     normal: Vec
     height: int
-    polygon: LatticePolygon = field(compare=False, repr=False)
+    area2: int
+    chart_points: tuple[Vec2, ...] = field(compare=False, repr=False)
 
     @property
     def chart(self) -> AffineChart:
         """The chart of ``plane_basis`` that the hull flattened this facet with."""
         e, b1, b2 = plane_basis(self.normal)
         return AffineChart(tuple(self.height * c for c in e), (b1, b2))
+
+    @cached_property
+    def polygon(self) -> LatticePolygon:
+        return LatticePolygon(self.chart_points)
 
 
 @dataclass(frozen=True)
@@ -184,45 +191,62 @@ def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
 def convex_hull(points) -> LatticePolytope:
     """Convex hull of lattice points in Z^3 with its full face data.
 
-    Coplanar hull triangles are merged into facets.  Each facet plane gets
-    the chart of ``plane_basis``: the extended-gcd basis (e, b1, b2) of Z^3
-    with <n, e> = 1 and b1 x b2 = n, under which a point v of the plane
-    reads (b2 x e . v, e x b1 . v).  The facet boundary is the 2-dimensional
-    hull of the member points in those coordinates; since b1 x b2 is the
-    outward normal, its counterclockwise cycle is counterclockwise seen from
-    outside.  One map from each directed cycle step to its facet gives the
-    edges and their oriented facet pairs.  Raises DegenerateInputError when
-    the points do not affinely span R^3.
+    Coplanar hull triangles are merged into facets.  The raw normal
+    (b - a) x (c - a) of a triangle is g times the primitive one, g its
+    normalized area, so a facet's ``area2`` is the sum of the g.  Its cycle
+    is the boundary of its triangles, corners only, started at its smallest
+    point in the chart of ``plane_basis``: the basis (e, b1, b2) of Z^3 with
+    <n, e> = 1 and b1 x b2 = n, under which a point v of the plane reads
+    (b2 x e . v, e x b1 . v).  One map from each directed cycle step to its
+    facet gives the edges and their oriented facet pairs.  Raises
+    DegenerateInputError when the points do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
         raise DegenerateInputError("need at least 4 distinct points")
 
-    # members of each facet plane, three per hull triangle on it
+    # per facet plane: the normalized area, then three members per triangle
     planes: dict[tuple[Vec, int], list[int]] = {}
     for nx, ny, nz, offset, a, b, c in _hull_triangles(pts):
         g = gcd(nx, ny, nz)
-        planes.setdefault(((nx // g, ny // g, nz // g), offset // g), []).extend((a, b, c))
+        plane = planes.setdefault(((nx // g, ny // g, nz // g), offset // g), [0])
+        plane[0] += g
+        plane += a, b, c
 
     facets = []
-    for (normal, height), members in sorted(planes.items()):
+    for (normal, height), (area2, *cycle) in sorted(planes.items()):
+        # a single hull triangle is a cycle of corners already; else the steps
+        # whose reverse is on no triangle of the plane make one cycle
+        if len(cycle) > 3:
+            a, b, c = cycle[::3], cycle[1::3], cycle[2::3]
+            steps = set(zip(a + b + c, b + c + a))
+            after = {u: v for u, v in steps if (v, u) not in steps}
+            cycle = [start := next(iter(after))]
+            while (u := after.get(cycle[-1])) != start and len(cycle) <= len(after):
+                cycle.append(u)
+            if len(cycle) != len(after):
+                raise AssertionError("facet boundary is not one cycle")
         e, b1, b2 = plane_basis(normal)
         (r1x, r1y, r1z), (r2x, r2y, r2z) = cross(b2, e), cross(e, b1)
-        flat = []
-        for m in members:
-            x, y, z = pts[m]
-            flat.append((r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z))
-        if len(members) == 3:
-            # a single hull triangle, counterclockwise from outside already;
-            # start it at its smallest point, where the monotone chain starts
-            k = flat.index(min(flat))
-            polygon = LatticePolygon((*flat[k:], *flat[:k]))
-            cycle = (*members[k:], *members[:k])
-        else:
-            member_at = dict(zip(flat, members))
-            polygon = convex_hull_2d(member_at)
-            cycle = tuple(member_at[q] for q in polygon.vertices)
-        facets.append(Facet(cycle, normal, height, polygon))
+        flat = [
+            (r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z)
+            for x, y, z in map(pts.__getitem__, cycle)
+        ]
+        if len(flat) > 3:
+            # keep the corners, which turn left in the chart as from outside (b1 x b2 = n)
+            corners = []
+            (ax, ay), (bx, by) = flat[-2:]
+            for j, (cx, cy) in enumerate(flat):
+                turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+                if turn < 0:
+                    raise AssertionError("facet boundary turns right")
+                if turn:
+                    corners.append(j - 1)
+                ax, ay, bx, by = bx, by, cx, cy
+            cycle, flat = [cycle[j] for j in corners], [flat[j] for j in corners]
+        k = flat.index(min(flat))  # where the monotone chain would start
+        cycle, flat = (*cycle[k:], *cycle[:k]), (*flat[k:], *flat[:k])
+        facets.append(Facet(cycle, normal, height, area2, flat))
 
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered

@@ -218,6 +218,28 @@ class TestIndec:
     def test_all_standard_triangles_empty(self):
         assert criterion_indec(hull(OCTAHEDRON)) == []
 
+    def test_polygons_built_only_for_the_minkowski_test(self, reflexive_pool, monkeypatch):
+        # the hull builds no polygon, and classify builds one only for the
+        # Minkowski test, on the unitary facets that are not standard triangles
+        built = []
+        post_init = fano3.polygon.LatticePolygon.__post_init__
+
+        def counting_post_init(polygon):
+            built.append(polygon)
+            post_init(polygon)
+
+        monkeypatch.setattr(fano3.polygon.LatticePolygon, "__post_init__", counting_post_init)
+        tested = 0
+        for pts in reflexive_pool:
+            built.clear()
+            rep = classify(hull(pts))
+            tested += len(built)
+            assert len(built) == sum(
+                cls.edge_lengths[-1] == 1 and cls.kind != STANDARD_TRIANGLE
+                for cls in rep.facet_classes
+            )
+        assert tested > 0
+
 
 class TestAft:
     def test_fixture_pair(self):
@@ -382,7 +404,9 @@ class TestClassify:
 
     def test_verdicts_match_public_criteria(self, reflexive_pool):
         # each public criterion is its guard and one field of classify's
-        # report; this pins the public API to the report
+        # report, which reads the facet classes off the facet cycles and
+        # areas; facet_classes(poly) goes through the chart polygons, so the
+        # first assertion compares two independent paths
         rng = random.Random(0x0DD5)
         pool = random.Random(0x51DE).sample(reflexive_pool, 30)
         inputs = list(NAMED_FANO.values()) + pool

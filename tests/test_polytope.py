@@ -1,6 +1,7 @@
 import random
 from dataclasses import fields
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from conftest import (
     large_shear,
 )
 from fano3 import polytope
-from fano3.intlinalg import cross, dot, plane_basis
+from fano3.intlinalg import cross, det3, dot, plane_basis
 from fano3.polygon import convex_hull_2d
 from fano3.polytope import (
     DegenerateInputError,
@@ -110,6 +111,49 @@ class TestConvexHull:
                     turn = cross(oracles.sub(b, a), oracles.sub(c, b))
                     assert dot(turn, facet.normal) >= 0
                     assert turn != (0, 0, 0)
+
+    def test_facet_area_and_steps_match_the_polygon(self, reflexive_pool):
+        # the hull sums area2 over a facet's triangles and walks its boundary
+        # in Z^3; the polygon walks the chart points: the two paths must agree
+        rng = random.Random(0xA2EA)
+        pool = random.Random(0xC055).sample(reflexive_pool, 30)
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        # triangulations with points inside facets and on edges
+        inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
+        for pts in inputs:
+            poly = convex_hull(pts)
+            for facet in poly.facets:
+                cyc = [poly.vertices[i] for i in facet.vertex_indices]
+                assert facet.area2 == facet.polygon.area2
+                steps = [gcd(*oracles.sub(b, a)) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+                assert steps == [length for _, length in facet.polygon.edges]
+                fan = [det3((cyc[0], b, c)) for b, c in zip(cyc[1:-1], cyc[2:])]
+                assert sum(map(abs, fan)) == facet.height * facet.area2
+
+    def test_square_facet_missing_a_triangle_is_rejected(self, monkeypatch):
+        # the facet walk checks its own boundary: without one triangle of a
+        # square facet the hull raises AssertionError, and never returns
+        hull_triangles = polytope._hull_triangles
+        messages = set()
+        # the cube's top facet is two triangles; that of the hull of its 27
+        # lattice points is eight, on the nine points of the facet
+        for pts in (list(CUBE), lattice_point_list(convex_hull(CUBE))):
+            top = [t for t in hull_triangles(pts) if t[0] == t[1] == 0 < t[2]]
+            assert len(top) in (2, 8)
+            for dropped in top:
+                monkeypatch.setattr(
+                    polytope, "_hull_triangles",
+                    lambda p, d=dropped: [t for t in hull_triangles(p) if t != d],
+                )
+                with pytest.raises(AssertionError) as info:
+                    convex_hull(pts)
+                messages.add(str(info.value))
+        assert messages == {
+            "hull edge on a single facet",
+            "facet boundary is not one cycle",
+            "facet boundary turns right",
+        }
 
     def test_each_edge_on_two_facets(self, reflexive_pool):
         # facet_adjacency is (left, right): the left facet's cycle steps
