@@ -61,6 +61,26 @@ def plane_basis(n: Vec) -> tuple[Vec, Vec, Vec]:
     return (u * s, u * t, v), (b // g, -a // g, 0), (c * s, c * t, -g)
 
 
+def chart_rows(n: Vec) -> tuple[Vec, Vec]:
+    """The rows (b2 x e, e x b1) of ``plane_basis(n)``, in closed form.
+
+    A point p of Z^3 reads (<b2 x e, p>, <e x b1, p>) in the basis (b1, b2)
+    of n^perp, up to the offset along e.  In the notation of ``plane_basis``
+    the rows are (t, -s, 0) and (v a / g, v b / g, -u), since u g + v c = 1;
+    when a = b = 0 they are (c, 0, 0) and (0, 1, 0).
+    """
+    a, b, c = n
+    g, s, t = ext_gcd(a, b)
+    if g == 0:
+        if c not in (1, -1):
+            raise ValueError(f"normal {n} is not primitive")
+        return (c, 0, 0), (0, 1, 0)
+    one, u, v = ext_gcd(g, c)
+    if one != 1:
+        raise ValueError(f"normal {n} is not primitive")
+    return (t, -s, 0), (v * (a // g), v * (b // g), -u)
+
+
 def det2(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 

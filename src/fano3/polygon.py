@@ -13,6 +13,7 @@ edge vectors that closes up to zero, taken in the same cyclic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -199,6 +200,7 @@ def classify_polygon(poly: LatticePolygon) -> PolygonClass:
     return classify_counts(len(poly.vertices), edge_lattice_lengths(poly), poly.area2)
 
 
+@cache
 def classify_counts(k: int, lengths: tuple[int, ...], area2: int) -> PolygonClass:
     """The class of a polygon with k vertices, sorted edge lengths and area.
 
@@ -207,7 +209,9 @@ def classify_counts(k: int, lengths: tuple[int, ...], area2: int) -> PolygonClas
     A_m-triangle (m >= 1) is an empty triangle with edge lengths 1, 1, m+1.
     A triangle has area 1 exactly when it is empty with edge lengths 1, 1, 1,
     so the lengths and the interior count, which Pick's formula gives from
-    them and ``area2``, decide all three.
+    them and ``area2``, decide all three.  Classes are interned: equal
+    arguments return the same frozen instance, shared by every caller.  The
+    facets of reflexive 3-polytopes take few distinct argument triples.
     """
     interior = (area2 - sum(lengths) + 2) // 2 if k >= 3 else 0
     kind, m = OTHER, None
@@ -223,8 +227,8 @@ def enumerate_summand_vectors(poly: LatticePolygon) -> list[tuple[int, ...]]:
 
     An assignment gives every edge a length between 0 and its lattice length;
     admissible ones have their weighted edge directions summing to zero, and
-    each determines a Minkowski summand.  Enumeration is a depth-first walk
-    with a reachability bound on the partial sums.
+    each determines a Minkowski summand.  Enumeration extends prefixes one
+    edge at a time, with a reachability bound on the partial sums.
     """
     edges = poly.edges
     k = len(edges)
@@ -234,24 +238,17 @@ def enumerate_summand_vectors(poly: LatticePolygon) -> list[tuple[int, ...]]:
         (dx, dy), length = edges[i]
         max_x[i] = max_x[i + 1] + length * abs(dx)
         max_y[i] = max_y[i + 1] + length * abs(dy)
-    out: list[tuple[int, ...]] = []
-    acc = [0] * k
-
-    def walk(i: int, sx: int, sy: int) -> None:
-        if abs(sx) > max_x[i] or abs(sy) > max_y[i]:
-            return
-        if i == k:
-            if sx == 0 and sy == 0:
-                out.append(tuple(acc))
-            return
-        (dx, dy), length = edges[i]
-        for a in range(length + 1):
-            acc[i] = a
-            walk(i + 1, sx + a * dx, sy + a * dy)
-        acc[i] = 0
-
-    walk(0, 0, 0)
-    return sorted(out)
+    # prefix by prefix, keeping those whose partial sum the remaining edges
+    # can still bring back to 0; after the last edge only sums of 0 are left
+    prefixes: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    for i, ((dx, dy), length) in enumerate(edges, 1):
+        prefixes = [
+            ((*acc, a), sx + a * dx, sy + a * dy)
+            for acc, sx, sy in prefixes
+            for a in range(length + 1)
+            if abs(sx + a * dx) <= max_x[i] and abs(sy + a * dy) <= max_y[i]
+        ]
+    return sorted(acc for acc, _, _ in prefixes)
 
 
 def is_minkowski_indecomposable(poly: LatticePolygon) -> bool:

@@ -15,12 +15,7 @@ from math import gcd
 from operator import index
 
 from ._kernels import box_columns, count_box_points
-from .intlinalg import (
-    Vec,
-    cross,
-    det3,
-    plane_basis,
-)
+from .intlinalg import Vec, chart_rows, det3, plane_basis
 from .polygon import AffineChart, LatticePolygon, Vec2
 from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's tracer rebinds it
 
@@ -150,17 +145,10 @@ def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
     base = _initial_simplex(points)
     faces: dict[int, tuple[int, ...]] = {}
     edge_owner: dict[tuple[int, int], int] = {}
-    next_id = 0
-
-    def add_face(a: int, b: int, c: int) -> None:
-        nonlocal next_id
+    a, b, c, d = base
+    for next_id, (a, b, c) in enumerate(((a, b, c), (a, d, b), (b, d, c), (c, d, a))):
         faces[next_id] = (*_plane(points[a], points[b], points[c]), a, b, c)
         edge_owner[a, b] = edge_owner[b, c] = edge_owner[c, a] = next_id
-        next_id += 1
-
-    a, b, c, d = base
-    for face in ((a, b, c), (a, d, b), (b, d, c), (c, d, a)):
-        add_face(*face)
 
     for p, (x, y, z) in enumerate(points):
         if p in base:
@@ -175,15 +163,19 @@ def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
         visible_set = set(visible)
         horizon = []
         for fid in visible:
-            _, _, _, _, a, b, c = faces[fid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if edge_owner[v, u] not in visible_set:
-                    horizon.append((u, v))
-        for fid in visible:
             _, _, _, _, a, b, c = faces.pop(fid)
-            del edge_owner[a, b], edge_owner[b, c], edge_owner[c, a]
+            for u, v in ((a, b), (b, c), (c, a)):
+                # a step between two visible faces is read once from each side:
+                # drop the other side's entry, which no live face owns
+                if edge_owner[v, u] in visible_set:
+                    del edge_owner[v, u]
+                else:
+                    horizon.append((u, v))
+        # the cone over the horizon, whose steps u -> v now belong to new faces
         for u, v in horizon:
-            add_face(u, v, p)
+            next_id += 1
+            faces[next_id] = (*_plane(points[u], points[v], points[p]), u, v, p)
+            edge_owner[u, v] = edge_owner[v, p] = edge_owner[p, u] = next_id
 
     return list(faces.values())
 
@@ -197,9 +189,10 @@ def convex_hull(points) -> LatticePolytope:
     is the boundary of its triangles, corners only, started at its smallest
     point in the chart of ``plane_basis``: the basis (e, b1, b2) of Z^3 with
     <n, e> = 1 and b1 x b2 = n, under which a point v of the plane reads
-    (b2 x e . v, e x b1 . v).  One map from each directed cycle step to its
-    facet gives the edges and their oriented facet pairs.  Raises
-    DegenerateInputError when the points do not affinely span R^3.
+    (b2 x e . v, e x b1 . v).  ``chart_rows`` gives those two rows from two
+    gcds, once per facet, with no basis built.  One map from each directed
+    cycle step to its facet gives the edges and their oriented facet pairs.
+    Raises DegenerateInputError when the points do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
@@ -226,8 +219,7 @@ def convex_hull(points) -> LatticePolytope:
                 cycle.append(u)
             if len(cycle) != len(after):
                 raise AssertionError("facet boundary is not one cycle")
-        e, b1, b2 = plane_basis(normal)
-        (r1x, r1y, r1z), (r2x, r2y, r2z) = cross(b2, e), cross(e, b1)
+        (r1x, r1y, r1z), (r2x, r2y, r2z) = chart_rows(normal)
         flat = [
             (r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z)
             for x, y, z in map(pts.__getitem__, cycle)

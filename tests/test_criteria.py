@@ -1,4 +1,6 @@
+import gc
 import random
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
@@ -36,7 +38,15 @@ from fano3.criteria import (
 )
 from fano3.intlinalg import cross, det3, dot, extends_to_basis, solve_height_one
 from fano3.invariants import degree, hilbert_prefix
-from fano3.polygon import AM_TRIANGLE, STANDARD_TRIANGLE, classify_polygon, facet_to_polygon
+from fano3.polygon import (
+    AM_TRIANGLE,
+    OTHER,
+    STANDARD_TRIANGLE,
+    classify_counts,
+    classify_polygon,
+    edge_lattice_lengths,
+    facet_to_polygon,
+)
 from fano3.polytope import convex_hull, lattice_point_list
 
 
@@ -484,3 +494,33 @@ class TestClassify:
             full = hull(lattice_point_list(poly))
             assert len(full.vertices) == len(poly.vertices)
             assert classify(full).to_dict() == classify(poly).to_dict()
+
+    def test_facet_classes_are_interned(self, reflexive_pool):
+        # classify_counts hands out one shared class per argument triple; each
+        # equals a class built afresh from the counts of the chart polygon
+        rng = random.Random(0x1A7E)
+        inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
+        shared = {}
+        for pts in inputs:
+            poly = hull(pts)
+            for facet, cls in zip(poly.facets, classify(poly).facet_classes):
+                polygon = facet.polygon
+                key = (len(polygon.vertices), edge_lattice_lengths(polygon), polygon.area2)
+                assert cls == classify_counts.__wrapped__(*key)
+                assert shared.setdefault(key, cls) is cls
+        assert classify_counts(*key) is cls
+        # sharing is safe only because a class cannot be changed
+        with pytest.raises(FrozenInstanceError):
+            cls.kind = OTHER
+
+    def test_leaves_no_reference_cycles(self, reflexive_pool):
+        # the hull and classify free what they build by reference counting
+        # alone, so the cycle collector finds nothing after a pass
+        gc.collect()
+        gc.disable()
+        try:
+            for pts in reflexive_pool:
+                classify(hull(pts))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,12 +1,14 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import matmul
 
 from fano3.intlinalg import (
+    chart_rows,
+    cross,
     det,
     det3,
     dot,
@@ -127,6 +129,39 @@ class TestPlaneBasis:
         e, b1, b2 = plane_basis(n)
         assert det3((e, b1, b2)) == 1
         assert (dot(n, e), dot(n, b1), dot(n, b2)) == (1, 0, 0)
+
+
+# coordinates with zeros among them, and coordinates up to 10^12
+coordinates = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+
+
+@st.composite
+def primitive_normals(draw):
+    n = draw(st.tuples(coordinates, coordinates, coordinates).filter(any))
+    g = gcd(*n)
+    return tuple(x // g for x in n)
+
+
+class TestChartRows:
+    @given(primitive_normals())
+    @example((0, 0, 1))
+    @example((0, 0, -1))
+    @example((0, 1, 0))
+    @example((0, -1, 0))
+    @settings(max_examples=500)
+    def test_rows_of_plane_basis(self, n):
+        e, b1, b2 = plane_basis(n)
+        assert chart_rows(n) == (cross(b2, e), cross(e, b1))
+
+    @given(primitive_normals(), st.integers(2, 10**6))
+    @example((0, 0, 0), 1)
+    @example((0, 0, 1), 2)
+    @example((0, 1, 0), 3)
+    def test_non_primitive_rejected(self, n, k):
+        scaled = tuple(k * x for x in n)
+        for fn in (chart_rows, plane_basis):
+            with pytest.raises(ValueError, match="not primitive"):
+                fn(scaled)
 
 
 class TestSolveHeightOne:

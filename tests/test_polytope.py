@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import fields
 from itertools import permutations
@@ -16,7 +17,7 @@ from conftest import (
     large_shear,
 )
 from fano3 import polytope
-from fano3.intlinalg import cross, det3, dot, plane_basis
+from fano3.intlinalg import chart_rows, cross, det3, dot
 from fano3.polygon import convex_hull_2d
 from fano3.polytope import (
     DegenerateInputError,
@@ -230,19 +231,41 @@ class TestConvexHull:
         assert swapped == {True, False}
 
     def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
-        # the hull charts each facet plane once, and keeps no chart
+        # the hull reads each facet's two chart rows once, in facet order,
+        # builds no plane basis, and keeps no chart
         assert "chart" not in {f.name for f in fields(Facet)}
         calls = []
 
-        def counting_plane_basis(n):
+        def counting_chart_rows(n):
             calls.append(n)
-            return plane_basis(n)
+            return chart_rows(n)
 
-        monkeypatch.setattr(polytope, "plane_basis", counting_plane_basis)
+        def refuse(n):
+            raise AssertionError("the hull built a plane basis")
+
+        monkeypatch.setattr(polytope, "chart_rows", counting_chart_rows)
+        monkeypatch.setattr(polytope, "plane_basis", refuse)
         for pts in list(NAMED_FANO.values()) + reflexive_pool[:10]:
             calls.clear()
             poly = convex_hull(pts)
             assert calls == [f.normal for f in poly.facets]
+
+    def test_facet_bytes_pinned(self, reflexive_pool):
+        # a sha256 over every facet's cycle, plane, area and chart points; the
+        # digest was computed at 3b6d27d, whose hull read its chart rows off
+        # plane_basis with two cross products.  The hulls of all lattice points
+        # of the fixtures renumber their vertices and drop non-corner points.
+        rng = random.Random(0xB17E)
+        inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
+        inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
+        digest = hashlib.sha256()
+        for pts in inputs:
+            for f in convex_hull(pts).facets:
+                key = (f.vertex_indices, f.normal, f.height, f.area2, f.chart_points)
+                digest.update(repr(key).encode())
+        assert digest.hexdigest() == (
+            "3781fbcaf182e58393ea2982f9fe56379201c3b65256f6a55bdc3665cc3680fb"
+        )
 
 
 class TestFanoReflexive:
