@@ -23,28 +23,25 @@ def box_columns(normals, bounds, lo, hi):
 
     The integer points p with lo <= p <= hi and normals @ p <= bounds are
     exactly the (x, y, z) with zlo <= z <= zhi over the yielded columns.
-    ``normals`` is a sequence of 3-vectors, ``bounds`` the matching
+    ``normals`` is a nonempty sequence of 3-vectors, ``bounds`` the matching
     right-hand sides, all of them Python ints, as ``_dilated_system`` reads
     them from the hull; nothing is coerced here.  Exact for ints of any size.
     """
     for x in range(lo[0], hi[0] + 1):
         for y in range(lo[1], hi[1] + 1):
             zlo, zhi = lo[2], hi[2]
-            feasible = True
             for (a, b, c), bound in zip(normals, bounds):
                 rest = bound - a * x - b * y
                 if c == 0:
                     if rest < 0:
-                        feasible = False
                         break
                 elif c > 0:
                     zhi = min(zhi, rest // c)
                 else:
                     zlo = max(zlo, -(rest // (-c)))
                 if zlo > zhi:
-                    feasible = False
                     break
-            if feasible and zlo <= zhi:
+            else:
                 yield x, y, zlo, zhi
 
 

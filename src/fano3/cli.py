@@ -45,6 +45,8 @@ def _classify_record(task) -> ClassificationReport:
 
 def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
     """The reports in record order; the writers order them by id."""
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
     tasks = [(rec, m_max) for rec in records]
     # a fork pool starts all its workers at once: no more workers than chunks
     workers = min(jobs, -(-len(tasks) // _CHUNK))
@@ -180,12 +182,13 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
+def _common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
     parser.add_argument("input", help="polytope database (JSON if named *.json, else PALP)")
     parser.add_argument(
         "--sidecar", default=None, help="JSON id sidecar for palp input"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("inspect", help="dump one polytope in detail")
-    _common(p)
+    _common(p, jobs=False)
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--mmax", type=int, default=5)
     p.add_argument("--lift", action="store_true", help="print lifted cone rays")
@@ -229,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (InputError, db.DatabaseFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,33 +41,14 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def plane_basis(n: Vec) -> tuple[Vec, Vec, Vec]:
-    """Basis (e, b1, b2) of Z^3 with det 1, <n, e> = 1 and <n, b1> = <n, b2> = 0.
-
-    For a primitive n = (a, b, c), write g = gcd(a, b) = s a + t b and
-    1 = u g + v c; then e = (u s, u t, v), b1 = (b, -a, 0) / g and
-    b2 = (c s, c t, -g).  So b1, b2 span the plane lattice n^perp, and
-    b1 x b2 = n.  When a = b = 0 the basis is read off c = +-1 directly.
-    """
-    a, b, c = n
-    g, s, t = ext_gcd(a, b)
-    if g == 0:
-        if c not in (1, -1):
-            raise ValueError(f"normal {n} is not primitive")
-        return (0, 0, c), (c, 0, 0), (0, 1, 0)
-    one, u, v = ext_gcd(g, c)
-    if one != 1:
-        raise ValueError(f"normal {n} is not primitive")
-    return (u * s, u * t, v), (b // g, -a // g, 0), (c * s, c * t, -g)
-
-
 def chart_rows(n: Vec) -> tuple[Vec, Vec]:
-    """The rows (b2 x e, e x b1) of ``plane_basis(n)``, in closed form.
+    """Rows (r1, r2) that complete the primitive normal n to a matrix of det 1.
 
-    A point p of Z^3 reads (<b2 x e, p>, <e x b1, p>) in the basis (b1, b2)
-    of n^perp, up to the offset along e.  In the notation of ``plane_basis``
-    the rows are (t, -s, 0) and (v a / g, v b / g, -u), since u g + v c = 1;
-    when a = b = 0 they are (c, 0, 0) and (0, 1, 0).
+    A point p of Z^3 reads <n, p> across the planes of n and
+    (<r1, p>, <r2, p>) within them, a unimodular chart of each plane.  For
+    n = (a, b, c) write g = gcd(a, b) = s a + t b and 1 = u g + v c; then
+    r1 = (t, -s, 0) and r2 = (v a / g, v b / g, -u).  When a = b = 0 the
+    rows are (c, 0, 0) and (0, 1, 0).
     """
     a, b, c = n
     g, s, t = ext_gcd(a, b)
@@ -79,6 +60,17 @@ def chart_rows(n: Vec) -> tuple[Vec, Vec]:
     if one != 1:
         raise ValueError(f"normal {n} is not primitive")
     return (t, -s, 0), (v * (a // g), v * (b // g), -u)
+
+
+def plane_basis(n: Vec) -> tuple[Vec, Vec, Vec]:
+    """Basis (e, b1, b2) of Z^3 with det 1, <n, e> = 1 and <n, b1> = <n, b2> = 0.
+
+    It is the basis dual to the rows (n, r1, r2) of ``chart_rows``:
+    e, b1, b2 = r1 x r2, r2 x n, n x r1, so b1 x b2 = n and every p of Z^3
+    is <n, p> e + <r1, p> b1 + <r2, p> b2.
+    """
+    r1, r2 = chart_rows(n)
+    return cross(r1, r2), cross(r2, n), cross(n, r1)
 
 
 def det2(a: Vec, b: Vec) -> int:

@@ -321,20 +321,16 @@ def maximal_decompositions(poly: LatticePolygon) -> list[MinkowskiDecomposition]
     full = tuple(length for _, length in poly.edges)
 
     decompositions: list[MinkowskiDecomposition] = []
-
-    def search(remaining: tuple[int, ...], start: int, used: list[tuple[int, ...]]):
+    # depth first over (what is left, first index to take, parts taken),
+    # largest part first; once nothing is left no part fits
+    stack = [(full, 0, ())]
+    while stack:
+        remaining, start, used = stack.pop()
         if not any(remaining):
-            decompositions.append(
-                MinkowskiDecomposition(tuple(used), tuple(summands[a] for a in used))
-            )
-            return
-        for idx in range(start, len(minimal)):
+            decompositions.append(MinkowskiDecomposition(used, tuple(summands[a] for a in used)))
+        for idx in reversed(range(start, len(minimal))):
             part = minimal[idx]
             if all(p <= r for p, r in zip(part, remaining)):
-                used.append(part)
-                search(tuple(r - p for r, p in zip(remaining, part)), idx, used)
-                used.pop()
-
-    search(full, 0, [])
+                stack.append((tuple(r - p for r, p in zip(remaining, part)), idx, (*used, part)))
     decompositions.sort(key=MinkowskiDecomposition.key)
     return decompositions

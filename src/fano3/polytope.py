@@ -68,12 +68,6 @@ class LatticePolytope:
     edges: tuple[tuple[int, int], ...]
     facet_adjacency: tuple[tuple[int, int], ...]
 
-    @property
-    def bounding_box(self) -> tuple[Vec, Vec]:
-        lo = tuple(min(v[i] for v in self.vertices) for i in range(3))
-        hi = tuple(max(v[i] for v in self.vertices) for i in range(3))
-        return lo, hi
-
     def edge_lattice_length(self, edge_index: int) -> int:
         a, b = self.edges[edge_index]
         (ax, ay, az), (bx, by, bz) = self.vertices[a], self.vertices[b]
@@ -187,12 +181,12 @@ def convex_hull(points) -> LatticePolytope:
     (b - a) x (c - a) of a triangle is g times the primitive one, g its
     normalized area, so a facet's ``area2`` is the sum of the g.  Its cycle
     is the boundary of its triangles, corners only, started at its smallest
-    point in the chart of ``plane_basis``: the basis (e, b1, b2) of Z^3 with
-    <n, e> = 1 and b1 x b2 = n, under which a point v of the plane reads
-    (b2 x e . v, e x b1 . v).  ``chart_rows`` gives those two rows from two
-    gcds, once per facet, with no basis built.  One map from each directed
-    cycle step to its facet gives the edges and their oriented facet pairs.
-    Raises DegenerateInputError when the points do not affinely span R^3.
+    point in the chart that reads a point v of the plane as (<r1, v>, <r2, v>),
+    with (r1, r2) = ``chart_rows(n)`` from two gcds, once per facet, and no
+    basis built; ``plane_basis(n)``, the dual basis, lifts the chart back.
+    One map from each directed cycle step to its facet gives the edges and
+    their oriented facet pairs.  Raises DegenerateInputError when the points
+    do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
@@ -340,13 +334,13 @@ def _dilated_system(poly: LatticePolytope, dilation: int, interior: bool):
     """
     if dilation < 0:
         raise ValueError("dilation must be nonnegative")
-    lo, hi = poly.bounding_box
+    columns = tuple(zip(*poly.vertices))
     shift = 1 if interior else 0
     return (
         [f.normal for f in poly.facets],
         [f.height * dilation - shift for f in poly.facets],
-        tuple(c * dilation for c in lo),
-        tuple(c * dilation for c in hi),
+        tuple(min(c) * dilation for c in columns),
+        tuple(max(c) * dilation for c in columns),
     )
 
 

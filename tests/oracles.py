@@ -97,6 +97,33 @@ def brute_normalized_volume(points):
     )
 
 
+def _ext_gcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0, Euclid by recursion."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    q, r = divmod(a, b)
+    g, s, t = _ext_gcd(b, r)
+    return g, t, s - q * t
+
+
+def closed_form_plane_basis(n):
+    """Basis (e, b1, b2) of Z^3 with det 1, <n, e> = 1 and b1 x b2 = n.
+
+    For a primitive n = (a, b, c), write g = gcd(a, b) = s a + t b and
+    1 = u g + v c; then e = (u s, u t, v), b1 = (b, -a, 0) / g and
+    b2 = (c s, c t, -g).  When a = b = 0, c = +-1 and the basis is
+    (0, 0, c), (c, 0, 0), (0, 1, 0).
+    """
+    a, b, c = n
+    g, s, t = _ext_gcd(a, b)
+    if g == 0:
+        assert c in (1, -1)
+        return (0, 0, c), (c, 0, 0), (0, 1, 0)
+    one, u, v = _ext_gcd(g, c)
+    assert one == 1
+    return (u * s, u * t, v), (b // g, -a // g, 0), (c * s, c * t, -g)
+
+
 def _det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 

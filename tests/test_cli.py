@@ -469,6 +469,13 @@ class TestInspectCommand:
     def test_unknown_id(self, db_path):
         assert main(["inspect", str(db_path), "--id", "99"]) == 2
 
+    def test_no_jobs_option(self, db_path, capsys):
+        # inspect runs one record in this process: --jobs is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", str(db_path), "--id", "4", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_output_matches_golden(self, tmp_path, capsys):
         # fixed bytes: they pin the hull's vertex order, each facet cycle and
         # where it starts, the polygons, decompositions and lifted rays

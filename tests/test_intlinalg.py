@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import matmul
+from oracles import closed_form_plane_basis, matmul
 
 from fano3.intlinalg import (
     chart_rows,
@@ -150,7 +150,10 @@ class TestChartRows:
     @example((0, -1, 0))
     @settings(max_examples=500)
     def test_rows_of_plane_basis(self, n):
-        e, b1, b2 = plane_basis(n)
+        # against the closed-form basis: plane_basis, the dual of the chart
+        # rows, is that basis, and the rows are those of its inverse
+        e, b1, b2 = closed_form_plane_basis(n)
+        assert plane_basis(n) == (e, b1, b2)
         assert chart_rows(n) == (cross(b2, e), cross(e, b1))
 
     @given(primitive_normals(), st.integers(2, 10**6))

@@ -1,9 +1,18 @@
+import gc
 import random
 
 import pytest
 
 import oracles
-from conftest import AFT_FIXTURE, CUBE, PENTAGON, PYRAMID, apply_matrix, large_shear
+from conftest import (
+    AFT_FIXTURE,
+    CUBE,
+    NAMED_FANO,
+    PENTAGON,
+    PYRAMID,
+    apply_matrix,
+    large_shear,
+)
 from fano3.intlinalg import det3, dot
 from fano3.polygon import (
     AM_TRIANGLE,
@@ -331,6 +340,20 @@ class TestMaximalDecompositions:
             ((2, 0, 1, 1, 0), (0, 1, 0, 0, 1), (0, 1, 0, 0, 1)),
         ]
         assert [dec.key() for dec in decs] == sorted(dec.key() for dec in decs)
+
+    def test_leaves_no_reference_cycles(self, reflexive_pool):
+        # the search frees what it builds by reference counting alone, so the
+        # cycle collector finds nothing after it
+        hulls = [convex_hull(pts) for pts in list(NAMED_FANO.values()) + reflexive_pool[:20]]
+        polygons = [f.polygon for poly in hulls for f in poly.facets]
+        gc.collect()
+        gc.disable()
+        try:
+            for poly in polygons:
+                maximal_decompositions(poly)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_summands_are_indecomposable(self):
         for verts in (PENTAGON, UNIT_SQUARE, DIAMOND):
