@@ -24,7 +24,6 @@ from .criteria import (
 from .invariants import degree, hilbert_prefix
 from .lift import LiftedCone, minkowski_lift
 from .polygon import (
-    AffineChart,
     LatticePolygon,
     MinkowskiDecomposition,
     PolygonClass,
@@ -52,7 +51,6 @@ from .polytope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineChart",
     "ClassificationReport",
     "DegenerateInputError",
     "Facet",

@@ -35,9 +35,10 @@ def _read_text(path) -> str:
 
 
 def _load_json(path):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, nesting
         raise DatabaseFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -62,17 +62,6 @@ def chart_rows(n: Vec) -> tuple[Vec, Vec]:
     return (t, -s, 0), (v * (a // g), v * (b // g), -u)
 
 
-def plane_basis(n: Vec) -> tuple[Vec, Vec, Vec]:
-    """Basis (e, b1, b2) of Z^3 with det 1, <n, e> = 1 and <n, b1> = <n, b2> = 0.
-
-    It is the basis dual to the rows (n, r1, r2) of ``chart_rows``:
-    e, b1, b2 = r1 x r2, r2 x n, n x r1, so b1 x b2 = n and every p of Z^3
-    is <n, p> e + <r1, p> b1 + <r2, p> b2.
-    """
-    r1, r2 = chart_rows(n)
-    return cross(r1, r2), cross(r2, n), cross(n, r1)
-
-
 def det2(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 

@@ -1,7 +1,8 @@
 """Lattice polygons in Z^2 and the Minkowski structure of polytope facets.
 
-A facet of a 3-dimensional lattice polytope is flattened to Z^2 by an affine
-unimodular chart when its polygon is first asked for; every predicate here
+The hull reads each facet of a 3-dimensional lattice polytope in Z^2 through
+the unimodular chart of ``chart_rows``, and the facet's polygon is built from
+those chart points when it is first asked for; every predicate here
 (classification, edge lengths, decomposability) is invariant under such
 charts, so nothing downstream depends on which chart was picked.
 
@@ -18,7 +19,6 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .intlinalg import (
-    Vec,
     inverse_unimodular,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     matvec,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     smith_normal_form,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
@@ -34,20 +34,6 @@ STANDARD_TRIANGLE = "standard_triangle"
 STANDARD_SQUARE = "standard_square"
 AM_TRIANGLE = "am_triangle"
 OTHER = "other"
-
-
-@dataclass(frozen=True)
-class AffineChart:
-    """Affine lattice isomorphism between a facet plane in Z^3 and Z^2."""
-
-    origin: Vec
-    basis: tuple[Vec, Vec]
-
-    def lift(self, q: Vec2) -> Vec:
-        b0, b1 = self.basis
-        return tuple(
-            o + q[0] * x + q[1] * y for o, x, y in zip(self.origin, b0, b1)
-        )
 
 
 @dataclass(frozen=True)
@@ -174,9 +160,9 @@ def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePo
     """A facet of a 3-polytope flattened to Z^2.
 
     This is the facet's ``polygon``, built from its chart points on first
-    access.  Its vertices follow the facet's vertex cycle and ``facet.chart``
-    lifts them back.  The result is unique up to AGL(2, Z), which is all that
-    the classification and decomposition predicates can see.
+    access.  Its vertices follow the facet's vertex cycle.  The result is
+    unique up to AGL(2, Z), which is all that the classification and
+    decomposition predicates can see.
     """
     if not 0 <= facet_index < len(polytope.facets):
         raise IndexError(f"facet index {facet_index} out of range")

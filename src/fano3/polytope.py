@@ -15,8 +15,8 @@ from math import gcd
 from operator import index
 
 from ._kernels import box_columns, count_box_points
-from .intlinalg import Vec, chart_rows, det3, plane_basis
-from .polygon import AffineChart, LatticePolygon, Vec2
+from .intlinalg import Vec, chart_rows, det3
+from .polygon import LatticePolygon, Vec2
 from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's tracer rebinds it
 
 
@@ -32,7 +32,7 @@ class Facet:
     and < height on the rest of the polytope.  The vertex cycle is
     counterclockwise as seen from outside.  ``area2`` is the normalized area.
     ``polygon``, built on first access, is the facet in Z^2 with vertices
-    ``chart_points``, the same cycle, which ``chart`` lifts back.
+    ``chart_points``, the same cycle read in the chart of ``chart_rows``.
     """
 
     vertex_indices: tuple[int, ...]
@@ -40,12 +40,6 @@ class Facet:
     height: int
     area2: int
     chart_points: tuple[Vec2, ...] = field(compare=False, repr=False)
-
-    @property
-    def chart(self) -> AffineChart:
-        """The chart of ``plane_basis`` that the hull flattened this facet with."""
-        e, b1, b2 = plane_basis(self.normal)
-        return AffineChart(tuple(self.height * c for c in e), (b1, b2))
 
     @cached_property
     def polygon(self) -> LatticePolygon:
@@ -182,8 +176,8 @@ def convex_hull(points) -> LatticePolytope:
     normalized area, so a facet's ``area2`` is the sum of the g.  Its cycle
     is the boundary of its triangles, corners only, started at its smallest
     point in the chart that reads a point v of the plane as (<r1, v>, <r2, v>),
-    with (r1, r2) = ``chart_rows(n)`` from two gcds, once per facet, and no
-    basis built; ``plane_basis(n)``, the dual basis, lifts the chart back.
+    with (r1, r2) = ``chart_rows(n)`` from two gcds, once per facet; no
+    basis of the plane is built, and only the chart points are kept.
     One map from each directed cycle step to its facet gives the edges and
     their oriented facet pairs.  Raises DegenerateInputError when the points
     do not affinely span R^3.

@@ -124,6 +124,15 @@ def closed_form_plane_basis(n):
     return (u * s, u * t, v), (b // g, -a // g, 0), (c * s, c * t, -g)
 
 
+def chart_lift(normal, height, q):
+    """Chart point q lifted onto the plane <normal, p> = height.
+
+    The lift is height*e + q0*b1 + q1*b2, with (e, b1, b2) the closed-form basis.
+    """
+    e, b1, b2 = closed_form_plane_basis(normal)
+    return tuple(height * x + q[0] * y + q[1] * z for x, y, z in zip(e, b1, b2))
+
+
 def _det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 

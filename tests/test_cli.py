@@ -376,6 +376,31 @@ def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
 
 
+# JSON that the decoder rejects past JSONDecodeError: nesting deeper than the
+# recursion limit, and an integer over the int/str conversion digit limit
+UNREADABLE_JSON = [pytest.param("[" * 200000, id="deep")]
+if hasattr(sys, "get_int_max_str_digits"):
+    UNREADABLE_JSON.append(pytest.param("[" + "1" * 5000 + "]", id="long-int"))
+
+
+@pytest.mark.parametrize("text", UNREADABLE_JSON)
+@pytest.mark.parametrize("role", ["database", "sidecar", "expected"])
+def test_unreadable_json_is_input_error(db_path, tmp_path, capsys, role, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    palp = tmp_path / "db.palp"
+    palp.write_text("4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n")
+    argv = {
+        "database": ["lists", str(bad)],
+        "sidecar": ["lists", str(palp), "--sidecar", str(bad)],
+        "expected": ["verify", str(db_path), "--expected", str(bad)],
+    }[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: not valid JSON (")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "files, argv, message",
     [

@@ -16,7 +16,6 @@ from fano3.intlinalg import (
     identity,
     inverse_unimodular,
     matvec,
-    plane_basis,
     smith_normal_form,
     solve_height_one,
 )
@@ -119,18 +118,6 @@ class TestExtendsToBasis:
         assert extends_to_basis(vs) == extends_to_basis(transformed)
 
 
-class TestPlaneBasis:
-    @given(st.tuples(entries, entries, entries))
-    def test_unimodular_and_adapted(self, n):
-        if gcd(gcd(n[0], n[1]), n[2]) != 1:
-            with pytest.raises(ValueError):
-                plane_basis(n)
-            return
-        e, b1, b2 = plane_basis(n)
-        assert det3((e, b1, b2)) == 1
-        assert (dot(n, e), dot(n, b1), dot(n, b2)) == (1, 0, 0)
-
-
 # coordinates with zeros among them, and coordinates up to 10^12
 coordinates = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
 
@@ -143,17 +130,25 @@ def primitive_normals(draw):
 
 
 class TestChartRows:
+    @given(st.tuples(entries, entries, entries))
+    def test_unimodular_and_adapted(self, n):
+        # the rows complete n to a matrix of det 1, so the chart is unimodular
+        if gcd(gcd(n[0], n[1]), n[2]) != 1:
+            with pytest.raises(ValueError):
+                chart_rows(n)
+            return
+        assert det3((n, *chart_rows(n))) == 1
+
     @given(primitive_normals())
     @example((0, 0, 1))
     @example((0, 0, -1))
     @example((0, 1, 0))
     @example((0, -1, 0))
     @settings(max_examples=500)
-    def test_rows_of_plane_basis(self, n):
-        # against the closed-form basis: plane_basis, the dual of the chart
-        # rows, is that basis, and the rows are those of its inverse
+    def test_rows_of_closed_form_inverse(self, n):
+        # against the closed-form basis (e, b1, b2): the chart rows are the
+        # last two rows of its inverse, whose first row is n = b1 x b2
         e, b1, b2 = closed_form_plane_basis(n)
-        assert plane_basis(n) == (e, b1, b2)
         assert chart_rows(n) == (cross(b2, e), cross(e, b1))
 
     @given(primitive_normals(), st.integers(2, 10**6))
@@ -161,10 +156,8 @@ class TestChartRows:
     @example((0, 0, 1), 2)
     @example((0, 1, 0), 3)
     def test_non_primitive_rejected(self, n, k):
-        scaled = tuple(k * x for x in n)
-        for fn in (chart_rows, plane_basis):
-            with pytest.raises(ValueError, match="not primitive"):
-                fn(scaled)
+        with pytest.raises(ValueError, match="not primitive"):
+            chart_rows(tuple(k * x for x in n))
 
 
 class TestSolveHeightOne:

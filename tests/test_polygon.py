@@ -446,7 +446,7 @@ class TestFacetToPolygon:
         for i, facet in enumerate(poly.facets):
             flat = facet_to_polygon(poly, i)
             lifted = {
-                facet.chart.lift(q)
+                oracles.chart_lift(facet.normal, facet.height, q)
                 for q in oracles.polygon_lattice_points(flat.vertices)
             }
             box = _facet_lattice_points(poly, facet)
@@ -465,10 +465,11 @@ class TestFacetToPolygon:
             for i, facet in enumerate(poly.facets):
                 flat = facet_to_polygon(poly, i)
                 originals = [poly.vertices[j] for j in facet.vertex_indices]
-                assert [facet.chart.lift(q) for q in flat.vertices] == originals
+                lifted = [oracles.chart_lift(facet.normal, facet.height, q) for q in flat.vertices]
+                assert lifted == originals
                 # b1, b2 lie in the facet plane and, with a height-one
                 # vertex, form a basis of Z^3, so they span its lattice
-                b1, b2 = facet.chart.basis
+                _, b1, b2 = oracles.closed_form_plane_basis(facet.normal)
                 assert dot(facet.normal, b1) == dot(facet.normal, b2) == 0
                 assert facet.height == 1
                 assert abs(det3((originals[0], b1, b2))) == 1

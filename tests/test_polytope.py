@@ -102,7 +102,11 @@ class TestConvexHull:
         for poly in polys:
             for facet in poly.facets:
                 cyc = [poly.vertices[i] for i in facet.vertex_indices]
-                assert [facet.chart.lift(q) for q in facet.polygon.vertices] == cyc
+                lifted = [
+                    oracles.chart_lift(facet.normal, facet.height, q)
+                    for q in facet.polygon.vertices
+                ]
+                assert lifted == cyc
                 # the cycle starts where the monotone chain starts, also
                 # on facets that skip it
                 hull_2d = convex_hull_2d(facet.polygon.vertices)
@@ -232,7 +236,7 @@ class TestConvexHull:
 
     def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
         # the hull reads each facet's two chart rows once, in facet order,
-        # builds no plane basis, and keeps no chart
+        # and keeps no chart
         assert "chart" not in {f.name for f in fields(Facet)}
         calls = []
 
@@ -240,11 +244,7 @@ class TestConvexHull:
             calls.append(n)
             return chart_rows(n)
 
-        def refuse(n):
-            raise AssertionError("the hull built a plane basis")
-
         monkeypatch.setattr(polytope, "chart_rows", counting_chart_rows)
-        monkeypatch.setattr(polytope, "plane_basis", refuse)
         for pts in list(NAMED_FANO.values()) + reflexive_pool[:10]:
             calls.clear()
             poly = convex_hull(pts)
@@ -252,8 +252,8 @@ class TestConvexHull:
 
     def test_facet_bytes_pinned(self, reflexive_pool):
         # a sha256 over every facet's cycle, plane, area and chart points; the
-        # digest was computed at 3b6d27d, whose hull read its chart rows off
-        # plane_basis with two cross products.  The hulls of all lattice points
+        # digest was computed at 3b6d27d, whose hull took its chart rows as
+        # two cross products of a plane basis.  The hulls of all lattice points
         # of the fixtures renumber their vertices and drop non-corner points.
         rng = random.Random(0xB17E)
         inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
