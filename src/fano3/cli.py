@@ -5,14 +5,16 @@ classification and write static reports.  Output ordering is by polytope id,
 so results are bit-identical across runs and across worker counts.
 
 Exit codes: 0 on success (and on a clean verify match), 1 when verify finds
-a mismatch, 2 on input errors.  ``main`` is the one error boundary: it prints
-an input error, also one raised in a worker process, as one ``error: `` line.
+a mismatch, 2 on input errors and on a failed guard of the hull.  ``main`` is
+the one error boundary: it prints such an error, also one raised in a worker
+process, as one ``error: `` line (``polytope N: hull: ...`` for a guard).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +39,8 @@ def _hull_and_classify(record, m_max: int):
         return poly, classify(poly, polytope_id=record.id, m_max=m_max)
     except ValueError as exc:
         raise InputError(f"polytope {record.id}: {exc}") from exc
+    except AssertionError as exc:  # only the hull's own guards raise it
+        raise InputError(f"polytope {record.id}: hull: {exc}") from exc
 
 
 def _classify_record(task) -> ClassificationReport:
@@ -48,8 +52,8 @@ def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
     tasks = [(rec, m_max) for rec in records]
-    # a fork pool starts all its workers at once: no more workers than chunks
-    workers = min(jobs, -(-len(tasks) // _CHUNK))
+    # a fork pool starts all its workers at once: no more than chunks or CPUs
+    workers = min(jobs, -(-len(tasks) // _CHUNK), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -10,8 +10,9 @@ facet by facet.
 lattice that ``polytope.convex_hull`` built once: one pass over the edges
 tests whether each edge's endpoints extend to a basis of Z^3, one pass
 over the facets classifies each facet from its cycle and area and collects
-the rigid-face and indecomposability witnesses, and one pass over the
-facet pairs of the edges collects the AFT witnesses.  Each public
+the rigid-face and indecomposability witnesses, the latter by the summand
+search on the facet's steps in Z^3 (no polygon is built), and one pass over
+the facet pairs of the edges collects the AFT witnesses.  Each public
 ``criterion_*`` function checks its guard and reads its field of the report.
 """
 
@@ -34,8 +35,9 @@ from .polygon import (
     PolygonClass,
     classify_counts,
     classify_polygon,
-    facet_to_polygon,
-    is_minkowski_indecomposable,
+    facet_to_polygon,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
+    is_minkowski_indecomposable,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
+    summand_assignments,
 )
 from .polytope import (
     LatticePolytope,
@@ -247,10 +249,10 @@ def classify(
     indec_witnesses = []
     for fi, facet in enumerate(facets):
         # a unimodular chart keeps lattice lengths: these are the polygon's
-        cycle = facet.vertex_indices
+        cycle, points = facet.vertex_indices, facet.points
         lengths = []
-        ux, uy, uz = vertices[cycle[-1]]
-        for x, y, z in map(vertices.__getitem__, cycle):
+        ux, uy, uz = points[-1]
+        for x, y, z in points:
             lengths.append(gcd(x - ux, y - uy, z - uz))
             ux, uy, uz = x, y, z
         cls = classify_counts(len(cycle), tuple(sorted(lengths)), facet.area2)
@@ -266,13 +268,13 @@ def classify(
                 (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))
             ):
                 rigid_witnesses.append(fi)
-        if (
-            reflexive
-            and facet_unitary
-            and cls.kind != STANDARD_TRIANGLE
-            and is_minkowski_indecomposable(facet_to_polygon(poly, fi))
-        ):
-            indec_witnesses.append(fi)
+        if reflexive and facet_unitary and cls.kind != STANDARD_TRIANGLE:
+            # unitary: each step is its own primitive direction, of length 1;
+            # indecomposable when only the zero and the full assignment close
+            steps = [((bx - ax, by - ay, bz - az), 1)
+                     for (ax, ay, az), (bx, by, bz) in zip(points, points[1:] + points[:1])]
+            if len(summand_assignments(steps)) <= 2:
+                indec_witnesses.append(fi)
 
     common = dict(
         polytope_id=polytope_id,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -106,8 +107,10 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
                 )
             try:
                 rows.append([int(t) for t in tokens])
-            except ValueError as exc:
-                raise DatabaseFormatError(f"record {index}: non-integer entry") from exc
+            except ValueError as exc:  # not an integer, or one over int()'s digit limit
+                why = ("non-integer entry" if str(exc).startswith("invalid literal")
+                       else f"entry over the {sys.get_int_max_str_digits()}-digit limit")
+                raise DatabaseFormatError(f"record {index}: {why}") from exc
         pos += r
         if r == 3:
             vertices = tuple(zip(*rows))
@@ -160,6 +163,8 @@ def parse_json(path) -> list[PolytopeRecord]:
     records = []
     for i, entry in enumerate(data):
         try:
+            if not isinstance(entry, dict):
+                raise TypeError("must be a JSON object")
             pid = entry["id"]
             verts = entry["vertices"]
             if not _is_int(pid):

@@ -1,10 +1,9 @@
 """Lattice polygons in Z^2 and the Minkowski structure of polytope facets.
 
-The hull reads each facet of a 3-dimensional lattice polytope in Z^2 through
-the unimodular chart of ``chart_rows``, and the facet's polygon is built from
-those chart points when it is first asked for; every predicate here
-(classification, edge lengths, decomposability) is invariant under such
-charts, so nothing downstream depends on which chart was picked.
+A facet's polygon is its vertex cycle read in Z^2 through the unimodular
+chart of ``chart_rows``, built when it is first asked for.  Every predicate
+here (classification, edge lengths, decomposability) is invariant under
+such charts, and the summand search also runs on a facet's steps in Z^3.
 
 Minkowski summands of a convex lattice polygon are enumerated by the edge
 vector method: a lattice summand is exactly a choice of sub-lengths of the
@@ -159,10 +158,10 @@ class PolygonClass:
 def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePolygon:
     """A facet of a 3-polytope flattened to Z^2.
 
-    This is the facet's ``polygon``, built from its chart points on first
-    access.  Its vertices follow the facet's vertex cycle.  The result is
-    unique up to AGL(2, Z), which is all that the classification and
-    decomposition predicates can see.
+    This is the facet's ``polygon``, charted on first access; its vertices
+    follow the facet's vertex cycle, from its smallest vertex index.  The
+    result is unique up to AGL(2, Z), which is all that the classification
+    and decomposition predicates can see.
     """
     if not 0 <= facet_index < len(polytope.facets):
         raise IndexError(f"facet index {facet_index} out of range")
@@ -208,33 +207,35 @@ def classify_counts(k: int, lengths: tuple[int, ...], area2: int) -> PolygonClas
     return PolygonClass(kind, m, k, lengths, interior)
 
 
-def enumerate_summand_vectors(poly: LatticePolygon) -> list[tuple[int, ...]]:
-    """All sub-length assignments of the edge vectors that close up to zero.
+def summand_assignments(steps) -> list[tuple[int, ...]]:
+    """All sub-length assignments of a lattice polygon's steps that close up to zero.
 
-    An assignment gives every edge a length between 0 and its lattice length;
-    admissible ones have their weighted edge directions summing to zero, and
-    each determines a Minkowski summand.  Enumeration extends prefixes one
-    edge at a time, with a reachability bound on the partial sums.
+    ``steps`` are the (primitive direction in Z^3, lattice length) of the
+    boundary steps in cyclic order: a facet's steps in space, or a polygon's
+    edges with third coordinate 0.  Each admissible assignment, a length from
+    0 to the lattice length per step, determines a Minkowski summand.
     """
-    edges = poly.edges
-    k = len(edges)
-    max_x = [0] * (k + 1)
-    max_y = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        (dx, dy), length = edges[i]
-        max_x[i] = max_x[i + 1] + length * abs(dx)
-        max_y[i] = max_y[i + 1] + length * abs(dy)
-    # prefix by prefix, keeping those whose partial sum the remaining edges
-    # can still bring back to 0; after the last edge only sums of 0 are left
-    prefixes: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
-    for i, ((dx, dy), length) in enumerate(edges, 1):
+    # how far the steps after each step can move each coordinate, last first
+    reach = [(0, 0, 0)]
+    for (dx, dy, dz), length in reversed(steps[1:]):
+        rx, ry, rz = reach[-1]
+        reach.append((rx + length * abs(dx), ry + length * abs(dy), rz + length * abs(dz)))
+    # keep the prefixes whose partial sum the remaining steps can still
+    # bring back to 0; after the last step only sums of 0 are left
+    prefixes: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]
+    for ((dx, dy, dz), length), (bx, by, bz) in zip(steps, reversed(reach)):
         prefixes = [
-            ((*acc, a), sx + a * dx, sy + a * dy)
-            for acc, sx, sy in prefixes
+            ((*acc, a), sx + a * dx, sy + a * dy, sz + a * dz)
+            for acc, sx, sy, sz in prefixes
             for a in range(length + 1)
-            if abs(sx + a * dx) <= max_x[i] and abs(sy + a * dy) <= max_y[i]
+            if abs(sx + a * dx) <= bx and abs(sy + a * dy) <= by and abs(sz + a * dz) <= bz
         ]
-    return sorted(acc for acc, _, _ in prefixes)
+    return sorted(acc for acc, _, _, _ in prefixes)
+
+
+def enumerate_summand_vectors(poly: LatticePolygon) -> list[tuple[int, ...]]:
+    """``summand_assignments`` of the polygon's edges, one per edge, in edge order."""
+    return summand_assignments([((dx, dy, 0), length) for (dx, dy), length in poly.edges])
 
 
 def is_minkowski_indecomposable(poly: LatticePolygon) -> bool:

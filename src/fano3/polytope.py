@@ -3,8 +3,8 @@
 All geometric predicates are exact 3x3 integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
 vertices), so the hull is built by straightforward incremental insertion.
-Each facet is read off the hull's own triangles, and its lattice polygon
-is built only when something asks for it.
+Each facet is read off the hull's own triangles in Z^3, and its lattice
+polygon is charted only when something asks for it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from math import gcd
 from operator import index
 
 from ._kernels import box_columns, count_box_points
-from .intlinalg import Vec, chart_rows, det3
-from .polygon import LatticePolygon, Vec2
+from .intlinalg import Vec, chart_rows, det3, dot
+from .polygon import LatticePolygon
 from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's tracer rebinds it
 
 
@@ -29,21 +29,23 @@ class Facet:
     """A facet with its cyclically ordered vertices and supporting hyperplane.
 
     The normal is primitive and outward: <normal, v> = height on the facet
-    and < height on the rest of the polytope.  The vertex cycle is
-    counterclockwise as seen from outside.  ``area2`` is the normalized area.
-    ``polygon``, built on first access, is the facet in Z^2 with vertices
-    ``chart_points``, the same cycle read in the chart of ``chart_rows``.
+    and < height on the rest of the polytope.  The vertex cycle runs
+    counterclockwise as seen from outside, from its smallest vertex index;
+    ``points`` are its vertices in Z^3.  ``area2`` is the normalized area.
+    ``polygon``, built on first access, is the facet in Z^2: the same cycle
+    read in the chart of ``chart_rows``.
     """
 
     vertex_indices: tuple[int, ...]
     normal: Vec
     height: int
     area2: int
-    chart_points: tuple[Vec2, ...] = field(compare=False, repr=False)
+    points: tuple[Vec, ...] = field(compare=False, repr=False)
 
     @cached_property
     def polygon(self) -> LatticePolygon:
-        return LatticePolygon(self.chart_points)
+        r1, r2 = chart_rows(self.normal)
+        return LatticePolygon([(dot(r1, p), dot(r2, p)) for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -174,13 +176,11 @@ def convex_hull(points) -> LatticePolytope:
     Coplanar hull triangles are merged into facets.  The raw normal
     (b - a) x (c - a) of a triangle is g times the primitive one, g its
     normalized area, so a facet's ``area2`` is the sum of the g.  Its cycle
-    is the boundary of its triangles, corners only, started at its smallest
-    point in the chart that reads a point v of the plane as (<r1, v>, <r2, v>),
-    with (r1, r2) = ``chart_rows(n)`` from two gcds, once per facet; no
-    basis of the plane is built, and only the chart points are kept.
-    One map from each directed cycle step to its facet gives the edges and
-    their oriented facet pairs.  Raises DegenerateInputError when the points
-    do not affinely span R^3.
+    is the boundary of its triangles, corners only, found in Z^3 by
+    det(n, u, v) of consecutive steps, and starts at its smallest vertex
+    index; no chart is built.  One map from each directed cycle step to its
+    facet gives the edges and their oriented facet pairs.  Raises
+    DegenerateInputError when the points do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
@@ -207,26 +207,27 @@ def convex_hull(points) -> LatticePolytope:
                 cycle.append(u)
             if len(cycle) != len(after):
                 raise AssertionError("facet boundary is not one cycle")
-        (r1x, r1y, r1z), (r2x, r2y, r2z) = chart_rows(normal)
-        flat = [
-            (r1x * x + r1y * y + r1z * z, r2x * x + r2y * y + r2z * z)
-            for x, y, z in map(pts.__getitem__, cycle)
-        ]
-        if len(flat) > 3:
-            # keep the corners, which turn left in the chart as from outside (b1 x b2 = n)
+        points = [pts[i] for i in cycle]
+        if len(cycle) > 3:
+            # keep the corners, which turn left as seen from outside: the steps
+            # u into and v out of a corner have det(n, u, v) > 0
+            nx, ny, nz = normal
             corners = []
-            (ax, ay), (bx, by) = flat[-2:]
-            for j, (cx, cy) in enumerate(flat):
-                turn = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+            (ax, ay, az), (bx, by, bz) = points[-2:]
+            ux, uy, uz = bx - ax, by - ay, bz - az
+            for j, (cx, cy, cz) in enumerate(points):
+                vx, vy, vz = cx - bx, cy - by, cz - bz
+                turn = (nx * (uy * vz - uz * vy) + ny * (uz * vx - ux * vz)
+                        + nz * (ux * vy - uy * vx))
                 if turn < 0:
                     raise AssertionError("facet boundary turns right")
                 if turn:
                     corners.append(j - 1)
-                ax, ay, bx, by = bx, by, cx, cy
-            cycle, flat = [cycle[j] for j in corners], [flat[j] for j in corners]
-        k = flat.index(min(flat))  # where the monotone chain would start
-        cycle, flat = (*cycle[k:], *cycle[:k]), (*flat[k:], *flat[:k])
-        facets.append(Facet(cycle, normal, height, area2, flat))
+                bx, by, bz, ux, uy, uz = cx, cy, cz, vx, vy, vz
+            cycle, points = [cycle[j] for j in corners], [points[j] for j in corners]
+        k = cycle.index(min(cycle))
+        cycle, points = (*cycle[k:], *cycle[:k]), (*points[k:], *points[:k])
+        facets.append(Facet(cycle, normal, height, area2, points))
 
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered

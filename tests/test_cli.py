@@ -45,6 +45,28 @@ def db_path(tmp_path):
     return path
 
 
+@pytest.fixture()
+def pool_workers(monkeypatch):
+    """The max_workers of each process pool the CLI asks for; none is started."""
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return workers
+
+
 def repeated_db(tmp_path, count: int) -> Path:
     """The fixtures repeated under ids 1..count."""
     rows = [
@@ -84,31 +106,32 @@ class TestClassifyCommand:
         "records, jobs, started", [(10, 64, []), (70, 2, [2]), (70, 64, [3])]
     )
     def test_pool_workers_capped_at_chunks(
-        self, tmp_path, monkeypatch, records, jobs, started
+        self, tmp_path, monkeypatch, pool_workers, records, jobs, started
     ):
         # a fork pool starts all its workers at once, so it gets at most one
-        # per chunk of 32 records, and a single chunk runs inline
-        workers = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        # per chunk of 32 records, and a single chunk runs inline; there are
+        # more CPUs than any case asks for
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
         path = repeated_db(tmp_path, records)
         out = tmp_path / "lists.json"
         assert main(["lists", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
-        assert workers == started
+        assert pool_workers == started
         assert json.loads(out.read_text())["L_smooth"][:2] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, started", [(10000, 4, [4]), (3, 4, [3]), (10000, 1, []), (10000, None, [])]
+    )
+    def test_pool_workers_capped_at_cpus(
+        self, tmp_path, monkeypatch, pool_workers, jobs, cpus, started
+    ):
+        # 320 records are ten chunks: the CPU count caps the pool below that,
+        # and one CPU, or an unknown count (None), runs inline
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        path = repeated_db(tmp_path, 320)
+        out = tmp_path / "lists.json"
+        assert main(["lists", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert pool_workers == started
+        assert json.loads(out.read_text())["L_smooth"][:4] == [1, 2, 8, 9]
 
     def test_palp_input(self, tmp_path):
         palp = tmp_path / "db.txt"
@@ -170,6 +193,30 @@ class TestClassifyCommand:
         bad.write_text(json.dumps([{"id": 1, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}]))
         out = tmp_path / "report.json"
         assert main(["classify", str(bad), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("command", ["lists", "verify", "inspect"])
+    def test_failed_hull_guard_is_input_error(self, tmp_path, monkeypatch, capsys, command):
+        # without one of the two triangles of the cube's top facet the hull
+        # fails a guard: one "hull" error line and exit 2, not verify's 1
+        hull_triangles = fano3.polytope._hull_triangles
+        top = [t for t in hull_triangles(list(CUBE)) if t[0] == t[1] == 0 < t[2]]
+        monkeypatch.setattr(
+            fano3.polytope, "_hull_triangles",
+            lambda p: [t for t in hull_triangles(p) if t != top[0]],
+        )
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps([{"id": 3, "vertices": [list(v) for v in CUBE]}]))
+        argv = {
+            "lists": ["lists", str(path), "--jobs", "1"],
+            "verify": ["verify", str(path), "--jobs", "1"],
+            "inspect": ["inspect", str(path), "--id", "3"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: polytope 3: hull: hull edge on a single facet"
+        ]
 
     @pytest.mark.parametrize("command", ["lists", "classify"])
     def test_error_in_process_pool_is_input_error(self, tmp_path, capsys, command):
@@ -401,6 +448,10 @@ def test_unreadable_json_is_input_error(db_path, tmp_path, capsys, role, text):
     assert "Traceback" not in err
 
 
+# the int/str conversion digit limit, where the interpreter has one
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 @pytest.mark.parametrize(
     "files, argv, message",
     [
@@ -442,6 +493,15 @@ def test_unreadable_json_is_input_error(db_path, tmp_path, capsys, role, text):
             ["lists", "db.json", "--out", ""],
             "cannot write : Is a directory",
         ),
+        ({"db.json": '["x"]'}, ["lists", "db.json"], "record 0: must be a JSON object"),
+        pytest.param(
+            {"db.palp": "4 3\n" + "1" * 5000 + " 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"},
+            ["lists", "db.palp"],
+            f"record 1: entry over the {DIGIT_LIMIT}-digit limit",
+            marks=pytest.mark.skipif(
+                not 0 < DIGIT_LIMIT < 5000, reason="no int/str digit limit below 5000"
+            ),
+        ),
     ],
     ids=[
         "sidecar_object",
@@ -454,6 +514,8 @@ def test_unreadable_json_is_input_error(db_path, tmp_path, capsys, role, text):
         "sidecar_empty_path",
         "expected_empty_path",
         "lists_out_empty_path",
+        "json_record_not_object",
+        "palp_entry_over_digit_limit",
     ],
 )
 def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, message):

@@ -229,25 +229,33 @@ class TestIndec:
         assert criterion_indec(hull(OCTAHEDRON)) == []
 
     def test_polygons_built_only_for_the_minkowski_test(self, reflexive_pool, monkeypatch):
-        # the hull builds no polygon, and classify builds one only for the
-        # Minkowski test, on the unitary facets that are not standard triangles
-        built = []
+        # neither the hull nor classify builds a polygon: the Minkowski test
+        # runs the summand search on the 3-D steps of the unitary facets that
+        # are not standard triangles, once per such facet
+        built, searched = [], []
         post_init = fano3.polygon.LatticePolygon.__post_init__
+        search = fano3.criteria.summand_assignments
 
         def counting_post_init(polygon):
             built.append(polygon)
             post_init(polygon)
 
+        def counting_search(steps):
+            searched.append(steps)
+            return search(steps)
+
         monkeypatch.setattr(fano3.polygon.LatticePolygon, "__post_init__", counting_post_init)
+        monkeypatch.setattr(fano3.criteria, "summand_assignments", counting_search)
         tested = 0
         for pts in reflexive_pool:
-            built.clear()
+            searched.clear()
             rep = classify(hull(pts))
-            tested += len(built)
-            assert len(built) == sum(
+            tested += len(searched)
+            assert len(searched) == sum(
                 cls.edge_lengths[-1] == 1 and cls.kind != STANDARD_TRIANGLE
                 for cls in rep.facet_classes
             )
+        assert built == []
         assert tested > 0
 
 

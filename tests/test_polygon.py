@@ -1,5 +1,6 @@
 import gc
 import random
+from math import gcd
 
 import pytest
 
@@ -28,6 +29,7 @@ from fano3.polygon import (
     has_unitary_edges,
     is_minkowski_indecomposable,
     maximal_decompositions,
+    summand_assignments,
     translation_key,
 )
 from fano3.polytope import convex_hull, polar
@@ -260,6 +262,27 @@ class TestSummandVectors:
     def test_unit_square_four(self):
         got = enumerate_summand_vectors(LatticePolygon(UNIT_SQUARE))
         assert got == [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)]
+
+    def test_facet_steps_in_space_match_the_polygon(self, reflexive_pool):
+        # classify runs the search on a facet's 3-D steps, as (primitive
+        # direction, lattice length); the polygon's edges follow the same
+        # cycle in the chart, so both must give the same assignments.  The
+        # polars have the larger facets with longer edges.
+        rng = random.Random(0x3D57)
+        pool = reflexive_pool + [polar(convex_hull(pts)).vertices for pts in reflexive_pool]
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
+        decomposable = 0
+        for pts in inputs:
+            for facet in convex_hull(pts).facets:
+                steps = []
+                for a, b in zip(facet.points, facet.points[1:] + facet.points[:1]):
+                    d = oracles.sub(b, a)
+                    steps.append((tuple(x // gcd(*d) for x in d), gcd(*d)))
+                got = summand_assignments(steps)
+                assert got == enumerate_summand_vectors(facet.polygon)
+                decomposable += len(got) > 2
+        assert decomposable > 100
 
 
 class TestIndecomposable:

@@ -34,6 +34,12 @@ from fano3.polytope import (
 UNIT_SIMPLEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def rotated_to_min(cycle):
+    """The cycle started at its smallest item."""
+    k = cycle.index(min(cycle))
+    return (*cycle[k:], *cycle[:k])
+
+
 class TestConvexHull:
     @pytest.mark.parametrize("name", sorted(NAMED_FANO))
     def test_matches_brute_force_planes(self, name):
@@ -107,10 +113,11 @@ class TestConvexHull:
                     for q in facet.polygon.vertices
                 ]
                 assert lifted == cyc
-                # the cycle starts where the monotone chain starts, also
-                # on facets that skip it
+                # the polygon is its own 2-D hull up to where the cycle
+                # starts, which is at the smallest vertex index
+                assert facet.vertex_indices[0] == min(facet.vertex_indices)
                 hull_2d = convex_hull_2d(facet.polygon.vertices)
-                assert facet.polygon.vertices == hull_2d.vertices
+                assert rotated_to_min(facet.polygon.vertices) == hull_2d.vertices
                 for k in range(len(cyc)):
                     a, b, c = cyc[k], cyc[(k + 1) % len(cyc)], cyc[(k + 2) % len(cyc)]
                     turn = cross(oracles.sub(b, a), oracles.sub(c, b))
@@ -218,13 +225,14 @@ class TestConvexHull:
     def test_first_four_points_in_any_order(self, name):
         # the first four points seed the simplex, which is oriented by
         # swapping two of them or not: the 24 orderings take both branches
-        # and give the same facets, each with the same vertex cycle
+        # and give the same facets, each with the same cycle of points.  A
+        # cycle starts at its smallest vertex index, which moves with the
+        # input order, so the cycles are compared from their smallest point.
         pts = list(NAMED_FANO[name])
 
         def facets(points):
             poly = convex_hull(points)
-            return [(f.normal, f.height, [poly.vertices[i] for i in f.vertex_indices])
-                    for f in poly.facets]
+            return [(f.normal, f.height, rotated_to_min(f.points)) for f in poly.facets]
 
         expected = facets(pts)
         swapped = set()
@@ -235,8 +243,8 @@ class TestConvexHull:
         assert swapped == {True, False}
 
     def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
-        # the hull reads each facet's two chart rows once, in facet order,
-        # and keeps no chart
+        # the hull reads no chart rows and keeps no chart; a facet's polygon
+        # reads its two chart rows once, on first access
         assert "chart" not in {f.name for f in fields(Facet)}
         calls = []
 
@@ -248,23 +256,41 @@ class TestConvexHull:
         for pts in list(NAMED_FANO.values()) + reflexive_pool[:10]:
             calls.clear()
             poly = convex_hull(pts)
+            assert calls == []
+            for facet in poly.facets:
+                assert facet.polygon is facet.polygon
             assert calls == [f.normal for f in poly.facets]
 
+    def test_cycle_starts_survive_moves(self, reflexive_pool):
+        # a move that keeps the vertex order keeps every facet's vertex
+        # indices, so each cycle starts at the same index; the large shears
+        # have det 1, so they keep the direction of each cycle too
+        rng = random.Random(0x57A7)
+        for pts in reflexive_pool:
+            poly = convex_hull(pts)
+            moved = convex_hull(apply_matrix(large_shear(rng), pts))
+            cycles = {frozenset(f.vertex_indices): f.vertex_indices for f in moved.facets}
+            assert len(cycles) == len(poly.facets)
+            for facet in poly.facets:
+                assert cycles[frozenset(facet.vertex_indices)] == facet.vertex_indices
+
     def test_facet_bytes_pinned(self, reflexive_pool):
-        # a sha256 over every facet's cycle, plane, area and chart points; the
-        # digest was computed at 3b6d27d, whose hull took its chart rows as
-        # two cross products of a plane basis.  The hulls of all lattice points
-        # of the fixtures renumber their vertices and drop non-corner points.
+        # a sha256 over every facet's cycle, plane, area and chart points (the
+        # polygon's vertices).  The digest was recomputed when cycles began to
+        # start at their smallest vertex index, not their chart minimum: every
+        # facet kept its plane and area, and its cycle and chart points moved
+        # by one rotation.  The hulls of all lattice points of the fixtures
+        # renumber their vertices and drop non-corner points.
         rng = random.Random(0xB17E)
         inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
         inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
         digest = hashlib.sha256()
         for pts in inputs:
             for f in convex_hull(pts).facets:
-                key = (f.vertex_indices, f.normal, f.height, f.area2, f.chart_points)
+                key = (f.vertex_indices, f.normal, f.height, f.area2, f.polygon.vertices)
                 digest.update(repr(key).encode())
         assert digest.hexdigest() == (
-            "3781fbcaf182e58393ea2982f9fe56379201c3b65256f6a55bdc3665cc3680fb"
+            "9260449425dff42ef9b55cf133f1fdb4afeb03750f67dd0e0079209492022301"
         )
 
 
