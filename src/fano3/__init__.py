@@ -11,15 +11,8 @@ from .criteria import (
     classify,
     criterion_aft,
     criterion_indec,
-    criterion_isolated_singular,
-    criterion_low_degree,
-    criterion_nodes,
     criterion_rigid_face,
-    criterion_smooth,
     criterion_totaro_rigid,
-    ext1_pushforward_degrees,
-    has_only_node_facets,
-    has_only_unitary_edges,
 )
 from .invariants import degree, hilbert_prefix
 from .lift import LiftedCone, minkowski_lift
@@ -31,7 +24,6 @@ from .polygon import (
     edge_lattice_lengths,
     enumerate_summand_vectors,
     facet_to_polygon,
-    has_unitary_edges,
     is_minkowski_indecomposable,
     maximal_decompositions,
 )
@@ -64,20 +56,12 @@ __all__ = [
     "convex_hull",
     "criterion_aft",
     "criterion_indec",
-    "criterion_isolated_singular",
-    "criterion_low_degree",
-    "criterion_nodes",
     "criterion_rigid_face",
-    "criterion_smooth",
     "criterion_totaro_rigid",
     "degree",
     "edge_lattice_lengths",
     "enumerate_summand_vectors",
-    "ext1_pushforward_degrees",
     "facet_to_polygon",
-    "has_only_node_facets",
-    "has_only_unitary_edges",
-    "has_unitary_edges",
     "hilbert_prefix",
     "is_fano",
     "is_minkowski_indecomposable",

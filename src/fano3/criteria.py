@@ -12,8 +12,11 @@ tests whether each edge's endpoints extend to a basis of Z^3, one pass
 over the facets classifies each facet from its cycle and area and collects
 the rigid-face and indecomposability witnesses, the latter by the summand
 search on the facet's steps in Z^3 (no polygon is built), and one pass over
-the facet pairs of the edges collects the AFT witnesses.  Each public
-``criterion_*`` function checks its guard and reads its field of the report.
+the facet pairs of the edges collects the AFT witnesses.
+
+The report is the API: ``ClassificationReport`` defines every field.  The
+four ``criterion_*`` functions each check a guard and return one field, for
+callers that bind them by name, such as the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .polygon import (
     STANDARD_TRIANGLE,
     PolygonClass,
     classify_counts,
-    classify_polygon,
+    classify_polygon,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     facet_to_polygon,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     is_minkowski_indecomposable,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     summand_assignments,
@@ -56,10 +59,44 @@ _NODE_KINDS = frozenset({STANDARD_TRIANGLE, STANDARD_SQUARE})
 class ClassificationReport:
     """All verdicts, witnesses and invariants of one polytope.
 
-    Criteria that only make sense on a reflexive polytope keep their
-    defaults, None or no witnesses, when the polytope is Fano but not
-    reflexive.  ``to_dict`` is the report row: one key per field, in
-    declaration order.
+    This is the package's answer for a polytope, and each field is defined
+    below.  Witnesses are indices into ``poly.facets``, and each
+    ``*_obstruction`` says that its witnesses are not empty.  Criteria that
+    only make sense on a reflexive polytope keep their defaults, None or no
+    witnesses, when the polytope is Fano but not reflexive.
+
+    - ``reflexive``: every facet plane is at lattice height 1.
+    - ``facet_classes``: standard triangle (normalized area 1), standard
+      square (its four vertices are its only lattice points), A_m-triangle
+      (empty, edge lengths 1, 1, m + 1) or other, for each facet.
+    - ``smooth``: every facet is a standard triangle.
+    - ``isolated_singular``: every edge has lattice length 1, and some facet
+      is not a standard triangle.
+    - ``nodes``: every facet is a standard triangle or square, and some is a
+      square.  The variety then has only ordinary double points, so it
+      deforms to a smooth one; the all-triangle case is ``smooth``.
+    - ``totaro_rigid``: every facet is a triangle, and every edge has length
+      1 and an integral functional equal to 1 at both endpoints a, b.  Both
+      hold exactly when a x b is primitive: (a, b) extends to a basis.
+    - ``rigid_face_witnesses``: triangular facets whose vertices do not
+      extend to a basis of Z^3 while the endpoints of each edge do.  The
+      cone over one is rigid yet singular, which obstructs smoothing.
+    - ``indec_witnesses``: facets with unitary edges that are Minkowski
+      indecomposable and not standard triangles.  The cone over one is an
+      isolated singularity with no smoothing direction at all.
+    - ``aft_witnesses``: adjacent facet pairs of A_n-triangles, one n >= 1,
+      glued along their long edge (n + 2 lattice points), where the vertex
+      of one off that edge pairs to d = 0 against the other's normal.  The
+      pair's pushed-forward obstruction sheaf splits into line bundles of
+      degrees -j d - j for j = 2..n+1.  All are negative exactly when
+      d >= 0, and d <= 0 on a reflexive polytope, so d = 0 is the case that
+      kills the obstruction sections.
+    - ``low_degree``: ``degree`` is in {4, 6, 8, 10, 12}, where the
+      varieties are known to be smoothable.
+    - ``degree``: (-K)^3, the normalized volume of the polar; ``hilbert``:
+      h_0..h_m, the lattice point counts of the polar's dilations.
+
+    ``to_dict`` is the report row: one key per field, in declaration order.
     """
 
     polytope_id: int = field(metadata={"key": "id"})
@@ -110,112 +147,30 @@ def _require_reflexive(poly: LatticePolytope) -> None:
         raise ValueError("criterion requires a reflexive polytope")
 
 
-def facet_classes(poly: LatticePolytope) -> list[PolygonClass]:
-    return [classify_polygon(facet.polygon) for facet in poly.facets]
-
-
-def criterion_smooth(poly: LatticePolytope) -> bool:
-    """Every facet is a standard triangle."""
-    _require_reflexive(poly)
-    return classify(poly, m_max=0).smooth
-
-
-def has_only_unitary_edges(poly: LatticePolytope) -> bool:
-    """Every edge of the polytope has lattice length 1 (no smooth-case gate)."""
-    return all(poly.edge_lattice_length(i) == 1 for i in range(len(poly.edges)))
-
-
-def has_only_node_facets(poly: LatticePolytope) -> bool:
-    """Every facet is a standard triangle or square (no square-presence gate)."""
-    return all(cls.kind in _NODE_KINDS for cls in facet_classes(poly))
-
-
-def criterion_isolated_singular(poly: LatticePolytope) -> bool:
-    """Unitary edges throughout, with at least one non-standard-triangle facet."""
-    _require_reflexive(poly)
-    return classify(poly, m_max=0).isolated_singular
-
-
-def criterion_nodes(poly: LatticePolytope) -> bool:
-    """Facets are standard triangles or standard squares, with a square present.
-
-    The all-triangle case is excluded here so that the verdict singles out
-    genuinely singular polytopes; the associated varieties have only
-    ordinary double points and are therefore deformable to smooth ones.
-    """
-    _require_reflexive(poly)
-    return classify(poly, m_max=0).nodes
-
-
 def criterion_totaro_rigid(poly: LatticePolytope) -> bool:
-    """Combinatorial rigidity: triangular facets and unitary height-one edges.
-
-    Every facet must be a triangle, and each edge must have lattice length 1
-    and admit an integral dual functional equal to 1 on both endpoints.  For
-    distinct endpoints a, b both hold exactly when a x b is primitive, that
-    is when (a, b) extends to a basis of Z^3, which is what ``classify``
-    tests for each edge.  The criterion applies to any Fano polytope.
-    """
+    """The report's ``totaro_rigid``; any Fano polytope."""
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
     return classify(poly, m_max=0).totaro_rigid
 
 
 def criterion_rigid_face(poly: LatticePolytope) -> list[int]:
-    """Facets whose cone is rigid yet singular; their presence obstructs smoothing.
-
-    A witness is a triangular facet whose three vertices do not extend to a
-    basis of Z^3 while each of its edges has endpoints that do extend to one.
-    The vertices extend to one when their |det| is 1, and that determinant
-    is the facet's height times its normalized area.  Faces of dimension
-    below 2 can never combine these requirements, so only facets are
-    scanned.
-    """
+    """The report's ``rigid_face_witnesses``; any Fano polytope."""
     if not is_fano(poly):
         raise ValueError("criterion requires a Fano polytope")
     return list(classify(poly, m_max=0).rigid_face_witnesses)
 
 
 def criterion_indec(poly: LatticePolytope) -> list[int]:
-    """Facets with unitary edges that are Minkowski indecomposable but not standard.
-
-    The cone over such a facet is an isolated singularity whose deformations
-    admit no one-parameter smoothing direction at all, so the whole variety
-    cannot be smoothed.
-    """
+    """The report's ``indec_witnesses``; reflexive polytopes only."""
     _require_reflexive(poly)
     return list(classify(poly, m_max=0).indec_witnesses)
 
 
 def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
-    """Adjacent almost-flat A_n-triangle pairs.
-
-    A witness is an adjacent facet pair, both A_n-triangles for one n >= 1,
-    glued along their long edge (n+2 lattice points), such that the vertex
-    of one triangle away from the shared edge pairs to 0 against the other
-    facet's normal.  Both orderings of the pair are tested and the unordered
-    pair is reported when either fires.
-    """
+    """The report's ``aft_witnesses``; reflexive polytopes only."""
     _require_reflexive(poly)
     return list(classify(poly, m_max=0).aft_witnesses)
-
-
-def ext1_pushforward_degrees(n: int, d: int) -> list[int]:
-    """Twists of the pushed-forward obstruction sheaf of an A_n-bundle pair.
-
-    For triangles paired at value d the sheaf splits into line bundles of
-    degrees -j*d - j for j = 2..n+1; all of them are negative exactly when
-    d >= 0, and d = 0 is the case that kills the obstruction sections.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return [-j * d - j for j in range(2, n + 2)]
-
-
-def criterion_low_degree(poly: LatticePolytope) -> bool:
-    """Degree in {4, 6, 8, 10, 12}; such varieties are known to be smoothable."""
-    _require_reflexive(poly)
-    return classify(poly, m_max=0).low_degree
 
 
 def classify(
@@ -262,7 +217,7 @@ def classify(
         unitary = unitary and facet_unitary
         if len(cycle) != 3:
             triangles = False
-        elif facet.height * facet.area2 != 1:
+        elif facet.height * facet.area2 != 1:  # |det| of its vertices
             i, j, k = cycle
             if all(
                 (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))

@@ -68,6 +68,16 @@ class PolytopeRecord:
     vertices: tuple[tuple[int, int, int], ...]
 
 
+def _palp_ints(tokens, index: int, what: str) -> list[int]:
+    """The integers of a PALP header or matrix row; an error names the cause."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:  # not an integer, or one over int()'s digit limit
+        why = (f"non-integer {what}" if str(exc).startswith("invalid literal")
+               else f"{what} over the {sys.get_int_max_str_digits()}-digit limit")
+        raise DatabaseFormatError(f"record {index}: {why}") from exc
+
+
 def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
     """Parse a PALP-style vertex stream into records.
 
@@ -88,10 +98,7 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
         pos += 1
         if len(header) < 2:
             raise DatabaseFormatError(f"record {index}: malformed header {lines[pos-1]!r}")
-        try:
-            r, c = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise DatabaseFormatError(f"record {index}: non-integer header") from exc
+        r, c = _palp_ints(header[:2], index, "header")
         if r <= 0 or c <= 0:
             raise DatabaseFormatError(f"record {index}: bad shape {r}x{c}")
         if 3 not in (r, c):
@@ -105,12 +112,7 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
                 raise DatabaseFormatError(
                     f"record {index}: row {k} has {len(tokens)} entries, expected {c}"
                 )
-            try:
-                rows.append([int(t) for t in tokens])
-            except ValueError as exc:  # not an integer, or one over int()'s digit limit
-                why = ("non-integer entry" if str(exc).startswith("invalid literal")
-                       else f"entry over the {sys.get_int_max_str_digits()}-digit limit")
-                raise DatabaseFormatError(f"record {index}: {why}") from exc
+            rows.append(_palp_ints(tokens, index, "entry"))
         pos += r
         if r == 3:
             vertices = tuple(zip(*rows))

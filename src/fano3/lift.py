@@ -21,18 +21,6 @@ class LiftedCone:
     rays: tuple[tuple[int, ...], ...]
     summand_index: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.rays[0]) if self.rays else 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready form, matching the report serialization conventions."""
-        return {
-            "dim": self.dim,
-            "rays": [list(r) for r in self.rays],
-            "summand_index": list(self.summand_index),
-        }
-
 
 def minkowski_lift(poly: LatticePolygon, dec: MinkowskiDecomposition) -> LiftedCone:
     """Build the lifted cone of a decomposition of ``poly``.

@@ -175,11 +175,6 @@ def edge_lattice_lengths(poly: LatticePolygon) -> tuple[int, ...]:
     return tuple(sorted([length for _, length in poly.edges]))
 
 
-def has_unitary_edges(poly: LatticePolygon) -> bool:
-    """True when every edge has lattice length 1."""
-    return all(length == 1 for length in edge_lattice_lengths(poly))
-
-
 def classify_polygon(poly: LatticePolygon) -> PolygonClass:
     """Classify a polygon as standard triangle, standard square, A_m or other."""
     return classify_counts(len(poly.vertices), edge_lattice_lengths(poly), poly.area2)

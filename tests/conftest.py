@@ -25,6 +25,10 @@ NODES_FIXTURE = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (-1, -1, -2))
 # two A_1-triangle facets glued along their length-2 edge, apexes pairing to 0
 AFT_FIXTURE = ((1, 1, 0), (-1, 1, 0), (0, 1, 1), (0, 0, -1), (0, -1, 0))
 
+# adjacent A_1-triangles along their long edge, but both apexes pair to -1
+# against the other facet's normal: no AFT witness
+NONZERO_PAIRING = ((1, 1, 0), (-1, 1, 0), (0, 1, 1), (0, -1, -1), (0, -1, 0))
+
 # cone over an empty triangle of normalized area 3: rigid but singular
 RIGID_FIXTURE = ((1, 0, 1), (0, 1, 1), (-1, -1, 1), (0, 0, -1))
 

@@ -8,6 +8,7 @@ test is skipped and the remaining criteria stand alone.
 
 import os
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,7 @@ import pytest
 import oracles
 from conftest import NAMED_FANO, PENTAGON, PYRAMID, apply_matrix, random_unimodular
 from fano3 import db
-from fano3.criteria import (
-    classify,
-    criterion_aft,
-    criterion_indec,
-    criterion_nodes,
-    ext1_pushforward_degrees,
-)
+from fano3.criteria import classify, criterion_aft, criterion_indec
 from fano3.invariants import degree, hilbert_prefix
 from fano3.lift import minkowski_lift
 from fano3.polygon import (
@@ -56,7 +51,7 @@ class TestCriterion1Pyramid:
         assert degree(poly) == 56
         assert criterion_indec(poly) == []
         assert criterion_aft(poly) == []
-        assert not criterion_nodes(poly)
+        assert not classify(poly).nodes
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
         verdict(1, "pyramid fixture")
@@ -204,12 +199,29 @@ class TestCriterion6PropertySuites:
 
 
 class TestCriterion7ExtDegrees:
-    def test_formula(self):
-        assert ext1_pushforward_degrees(1, 0) == [-2]
-        for n in range(1, 7):
-            for d in range(-3, 4):
-                values = ext1_pushforward_degrees(n, d)
-                assert len(values) == n
-                assert values == [-j * d - j for j in range(2, n + 2)]
-                assert all(v < 0 for v in values) == (d >= 0)
+    def test_formula(self, reflexive_pool):
+        # the twist formula that defines the report's aft_witnesses: a pair
+        # of A_n-triangles glued along their long edge, with apex pairing d,
+        # pushes its obstruction sheaf forward to line bundles of degrees
+        # -j d - j, j = 2..n+1, and is a witness exactly when all of them
+        # are negative, for one of its two apexes
+        pairs = {True: 0, False: 0}
+        for pts in list(NAMED_FANO.values()) + list(reflexive_pool):
+            poly = convex_hull(pts)
+            rep = classify(poly, m_max=0)
+            for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
+                c0, c1 = rep.facet_classes[f0], rep.facet_classes[f1]
+                if not c0.kind == c1.kind == AM_TRIANGLE:
+                    continue
+                if gcd(*oracles.sub(poly.vertices[a], poly.vertices[b])) != c0.m + 1:
+                    continue
+                negative = False
+                for g, h in ((f0, f1), (f1, f0)):
+                    (apex,) = set(poly.facets[g].vertex_indices) - {a, b}
+                    d = sum(x * y for x, y in zip(poly.facets[h].normal, poly.vertices[apex]))
+                    twists = [-j * d - j for j in range(2, c0.m + 2)]
+                    negative = negative or all(t < 0 for t in twists)
+                assert ((min(f0, f1), max(f0, f1)) in rep.aft_witnesses) == negative
+                pairs[negative] += 1
+        assert pairs[True] > 0 and pairs[False] > 0
         verdict(7, "pushforward twist formula")

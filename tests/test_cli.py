@@ -502,6 +502,14 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
                 not 0 < DIGIT_LIMIT < 5000, reason="no int/str digit limit below 5000"
             ),
         ),
+        pytest.param(
+            {"db.palp": "1" * 5000 + " 3\n"},
+            ["lists", "db.palp"],
+            f"record 1: header over the {DIGIT_LIMIT}-digit limit",
+            marks=pytest.mark.skipif(
+                not 0 < DIGIT_LIMIT < 5000, reason="no int/str digit limit below 5000"
+            ),
+        ),
     ],
     ids=[
         "sidecar_object",
@@ -516,6 +524,7 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         "lists_out_empty_path",
         "json_record_not_object",
         "palp_entry_over_digit_limit",
+        "palp_header_over_digit_limit",
     ],
 )
 def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, message):

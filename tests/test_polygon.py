@@ -26,7 +26,6 @@ from fano3.polygon import (
     edge_lattice_lengths,
     enumerate_summand_vectors,
     facet_to_polygon,
-    has_unitary_edges,
     is_minkowski_indecomposable,
     maximal_decompositions,
     summand_assignments,
@@ -134,7 +133,6 @@ class TestPolygonBasics:
 class TestEdgeLengths:
     def test_pentagon_unitary(self):
         assert edge_lattice_lengths(pentagon()) == (1, 1, 1, 1, 1)
-        assert has_unitary_edges(pentagon())
 
     def test_am_triangle_lengths(self):
         assert edge_lattice_lengths(LatticePolygon(am_triangle(2))) == (1, 1, 3)
@@ -143,7 +141,7 @@ class TestEdgeLengths:
         assert edge_lattice_lengths(LatticePolygon(UNIT_SQUARE)) == (1, 1, 1, 1)
 
     def test_am_not_unitary(self):
-        assert not has_unitary_edges(LatticePolygon(am_triangle(1)))
+        assert edge_lattice_lengths(LatticePolygon(am_triangle(1)))[-1] == 2
 
 
 class TestClassify:
@@ -402,7 +400,6 @@ class TestAglInvariance:
                 cls = classify_polygon(other)
                 assert (cls.kind, cls.m) == (base_cls.kind, base_cls.m)
                 assert cls.edge_lengths == base_cls.edge_lengths
-                assert has_unitary_edges(other) == has_unitary_edges(poly)
                 assert is_minkowski_indecomposable(other) == is_minkowski_indecomposable(poly)
                 mapped_dec = maximal_decompositions(other)
                 assert len(mapped_dec) == len(base_dec)
