@@ -14,7 +14,6 @@ from .criteria import (
     criterion_rigid_face,
     criterion_totaro_rigid,
 )
-from .invariants import degree, hilbert_prefix
 from .lift import LiftedCone, minkowski_lift
 from .polygon import (
     LatticePolygon,
@@ -34,7 +33,6 @@ from .polytope import (
     convex_hull,
     is_fano,
     is_reflexive,
-    lattice_point_list,
     lattice_points,
     normalized_volume,
     polar,
@@ -58,15 +56,12 @@ __all__ = [
     "criterion_indec",
     "criterion_rigid_face",
     "criterion_totaro_rigid",
-    "degree",
     "edge_lattice_lengths",
     "enumerate_summand_vectors",
     "facet_to_polygon",
-    "hilbert_prefix",
     "is_fano",
     "is_minkowski_indecomposable",
     "is_reflexive",
-    "lattice_point_list",
     "lattice_points",
     "maximal_decompositions",
     "minkowski_lift",

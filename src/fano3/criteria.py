@@ -12,7 +12,9 @@ tests whether each edge's endpoints extend to a basis of Z^3, one pass
 over the facets classifies each facet from its cycle and area and collects
 the rigid-face and indecomposability witnesses, the latter by the summand
 search on the facet's steps in Z^3 (no polygon is built), and one pass over
-the facet pairs of the edges collects the AFT witnesses.
+the facet pairs of the edges collects the AFT witnesses.  The degree is
+one more pass over the edges, and the Hilbert coefficients follow from it
+in closed form.
 
 The report is the API: ``ClassificationReport`` defines every field.  The
 four ``criterion_*`` functions each check a guard and return one field, for
@@ -30,7 +32,6 @@ from .intlinalg import (
     extends_to_basis,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     solve_height_one,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
 )
-from .invariants import _degree, hilbert_from_degree
 from .polygon import (
     AM_TRIANGLE,
     STANDARD_SQUARE,
@@ -173,6 +174,50 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     return list(classify(poly, m_max=0).aft_witnesses)
 
 
+def _degree(poly: LatticePolytope) -> int:
+    """(-K)^3 of a reflexive polytope: the normalized volume of its polar.
+
+    The polar's facet dual to a vertex v of P has the normals n_F of the
+    facets F through v as its vertices, in the cyclic order of those facets
+    around v.  A step v -> w of the cycle of a facet F separates F from the
+    facet G on the other side of that edge, and F, G are consecutive around
+    v.  So the sum of det((n_anchor(v), n_F, n_G)) over all directed edges,
+    with n_anchor(v) one fixed normal at v, fans every dual facet from its
+    anchor and cones it over the origin, all with one orientation; its
+    absolute value is the normalized volume of the polar.  An edge (a, b)
+    with facets (L, R) is the step a -> b of L and b -> a of R, so its two
+    terms add up to det((n_anchor(a) - n_anchor(b), n_L, n_R)), one
+    determinant per edge; the anchor at v is the left facet of its first
+    edge.  No dual hull is built.
+    """
+    facets = poly.facets
+    anchor = {}
+    total = 0
+    for (a, b), (l, r) in zip(poly.edges, poly.facet_adjacency):
+        fl = facets[l].normal
+        (ax, ay, az), (bx, by, bz) = anchor.setdefault(a, fl), anchor.setdefault(b, fl)
+        (fx, fy, fz), (gx, gy, gz) = fl, facets[r].normal
+        x, y, z = ax - bx, ay - by, az - bz
+        total += x * (fy * gz - fz * gy) - y * (fx * gz - fz * gx) + z * (fx * gy - fy * gx)
+    return abs(total)
+
+
+def hilbert_from_degree(deg: int, m_max: int) -> list[int]:
+    """h_0..h_{m_max} of a reflexive polytope of degree ``deg``.
+
+    h_m is the number of lattice points of m times the polar, the dimension
+    of the sections of the m-th anticanonical power.  The polar of a
+    reflexive polytope is reflexive too, so its Ehrhart h*-vector is
+    (1, L - 4, L - 4, 1), with L its number of lattice points, and its
+    normalized volume, the degree, is the sum of that vector, 2 L - 6.
+    Summing h*_i against the binomials C(m + 3 - i, 3) gives
+    h_m = d m (m + 1) (2 m + 1) / 12 + 2 m + 1.
+    The degree is even, so every term is an integer, and no lattice points
+    are counted.
+    """
+    return [deg * m * (m + 1) * (2 * m + 1) // 12 + 2 * m + 1 for m in range(m_max + 1)]
+
+
 def classify(
     poly: LatticePolytope, polytope_id: int = 0, m_max: int = 5
 ) -> ClassificationReport:
@@ -242,13 +287,13 @@ def classify(
         return ClassificationReport(**common, reflexive=False)
 
     aft_witnesses = []
-    for ei, ((a, b), (f0, f1)) in enumerate(zip(poly.edges, poly.facet_adjacency)):
-        c0, c1 = classes[f0], classes[f1]
-        if c0.kind != AM_TRIANGLE or c1.kind != AM_TRIANGLE or c0.m != c1.m:
+    for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
+        if classes[f0].kind != AM_TRIANGLE or classes[f1].kind != AM_TRIANGLE:
             continue
-        if poly.edge_lattice_length(ei) != c0.m + 1:
-            continue
-        # both are triangles, so each has one apex off the shared edge
+        # both are triangles, so each has one apex off the shared edge.  An
+        # apex that pairs to 0 against the other normal lies at lattice
+        # distance 1 from the edge, which then has length area2 = m + 1: it
+        # is the long edge of both triangles, and their m agree
         for g, h in ((f0, f1), (f1, f0)):
             (apex,) = (i for i in facets[g].vertex_indices if i != a and i != b)
             if dot(facets[h].normal, vertices[apex]) == 0:

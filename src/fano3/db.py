@@ -69,13 +69,20 @@ class PolytopeRecord:
 
 
 def _palp_ints(tokens, index: int, what: str) -> list[int]:
-    """The integers of a PALP header or matrix row; an error names the cause."""
+    """The integers of a PALP header or matrix row; an error names the cause.
+
+    An integer is [+-]?[0-9]+.  ``int`` also reads "1_0" and non-ASCII
+    digits; on ASCII tokens without "_" or whitespace it takes exactly those.
+    """
+    text = "".join(tokens)
     try:
-        return [int(t) for t in tokens]
+        if text.isascii() and "_" not in text:
+            return [int(t) for t in tokens]
     except ValueError as exc:  # not an integer, or one over int()'s digit limit
-        why = (f"non-integer {what}" if str(exc).startswith("invalid literal")
-               else f"{what} over the {sys.get_int_max_str_digits()}-digit limit")
-        raise DatabaseFormatError(f"record {index}: {why}") from exc
+        if not str(exc).startswith("invalid literal"):
+            limit = sys.get_int_max_str_digits()
+            raise DatabaseFormatError(f"record {index}: {what} over the {limit}-digit limit") from exc
+    raise DatabaseFormatError(f"record {index}: non-integer {what}")
 
 
 def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:

@@ -16,10 +16,9 @@ from .polygon import LatticePolygon, MinkowskiDecomposition
 
 @dataclass(frozen=True)
 class LiftedCone:
-    """Rays of the lifted cone, tagged by the summand each one came from."""
+    """Rays of the lifted cone; the e-block of each names its summand."""
 
     rays: tuple[tuple[int, ...], ...]
-    summand_index: tuple[int, ...]
 
 
 def minkowski_lift(poly: LatticePolygon, dec: MinkowskiDecomposition) -> LiftedCone:
@@ -41,10 +40,8 @@ def minkowski_lift(poly: LatticePolygon, dec: MinkowskiDecomposition) -> LiftedC
 
     r1 = len(dec.summands)
     rays = []
-    owner = []
     for k, summand in enumerate(dec.summands):
         block = tuple(1 if j == k else 0 for j in range(r1))
         for v in summand.vertices:
             rays.append((v[0], v[1]) + block)
-            owner.append(k)
-    return LiftedCone(rays=tuple(rays), summand_index=tuple(owner))
+    return LiftedCone(rays=tuple(rays))

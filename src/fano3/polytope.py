@@ -1,4 +1,4 @@
-"""Lattice polytopes in Z^3: hull, face lattice, polar, volume, point counts.
+"""Lattice polytopes in Z^3: hull, face lattice, polar, volume, point count.
 
 All geometric predicates are exact 3x3 integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd
 from operator import index
 
-from ._kernels import box_columns, count_box_points
+from ._kernels import count_box_points
 from .intlinalg import Vec, chart_rows, det3, dot
 from .polygon import LatticePolygon
 from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's tracer rebinds it
@@ -322,23 +322,6 @@ def normalized_volume(poly: LatticePolytope) -> int:
     return total
 
 
-def _dilated_system(poly: LatticePolytope, dilation: int, interior: bool):
-    """Facet inequalities and bounding box of ``dilation * poly``.
-
-    With ``interior`` the inequalities are strict.
-    """
-    if dilation < 0:
-        raise ValueError("dilation must be nonnegative")
-    columns = tuple(zip(*poly.vertices))
-    shift = 1 if interior else 0
-    return (
-        [f.normal for f in poly.facets],
-        [f.height * dilation - shift for f in poly.facets],
-        tuple(min(c) * dilation for c in columns),
-        tuple(max(c) * dilation for c in columns),
-    )
-
-
 def lattice_points(poly: LatticePolytope, dilation: int = 1, interior: bool = False) -> int:
     """Exact number of lattice points of ``dilation * poly``.
 
@@ -346,15 +329,13 @@ def lattice_points(poly: LatticePolytope, dilation: int = 1, interior: bool = Fa
     with ``interior`` the inequalities are strict.  The cost grows with the
     box, so it depends on how the polytope is embedded.
     """
-    return count_box_points(*_dilated_system(poly, dilation, interior))
-
-
-def lattice_point_list(
-    poly: LatticePolytope, dilation: int = 1, interior: bool = False
-) -> list[Vec]:
-    """The lattice points of ``dilation * poly`` themselves, by the same scan."""
-    return [
-        (x, y, z)
-        for x, y, zlo, zhi in box_columns(*_dilated_system(poly, dilation, interior))
-        for z in range(zlo, zhi + 1)
-    ]
+    if dilation < 0:
+        raise ValueError("dilation must be nonnegative")
+    columns = tuple(zip(*poly.vertices))
+    shift = 1 if interior else 0
+    return count_box_points(
+        [f.normal for f in poly.facets],
+        [f.height * dilation - shift for f in poly.facets],
+        tuple(min(c) * dilation for c in columns),
+        tuple(max(c) * dilation for c in columns),
+    )

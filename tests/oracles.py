@@ -85,19 +85,25 @@ def brute_vertex_set(points):
     return verts
 
 
-def brute_count(points, m):
-    """#(m * conv(points) cap Z^3) by scanning the bounding box."""
+def brute_points(points, m=1):
+    """The points of m * conv(points) cap Z^3, in lexicographic order.
+
+    Scans the bounding box point by point against ``brute_facets``.
+    """
     points = [tuple(p) for p in points]
-    if m == 0:
-        return 1
     fac = brute_facets(points)
     lo = [min(p[i] for p in points) * m for i in range(3)]
     hi = [max(p[i] for p in points) * m for i in range(3)]
-    count = 0
-    for x in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if all(_dot(n, x) <= h * m for n, h in fac.items()):
-            count += 1
-    return count
+    return [
+        x
+        for x in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        if all(_dot(n, x) <= h * m for n, h in fac.items())
+    ]
+
+
+def brute_count(points, m):
+    """#(m * conv(points) cap Z^3), by ``brute_points``."""
+    return len(brute_points(points, m))
 
 
 def lattice_counts(points, top):

@@ -17,7 +17,6 @@ import oracles
 from conftest import NAMED_FANO, PENTAGON, PYRAMID, apply_matrix, random_unimodular
 from fano3 import db
 from fano3.criteria import classify, criterion_aft, criterion_indec
-from fano3.invariants import degree, hilbert_prefix
 from fano3.lift import minkowski_lift
 from fano3.polygon import (
     AM_TRIANGLE,
@@ -48,7 +47,7 @@ class TestCriterion1Pyramid:
         classes = [classify_polygon(facet_to_polygon(poly, i)) for i in range(6)]
         assert sum(c.kind == STANDARD_TRIANGLE for c in classes) == 5
         assert sum(c.vertex_count == 5 for c in classes) == 1
-        assert degree(poly) == 56
+        assert classify(poly).degree == 56
         assert criterion_indec(poly) == []
         assert criterion_aft(poly) == []
         assert not classify(poly).nodes
@@ -190,9 +189,8 @@ class TestCriterion6PropertySuites:
                         oracles.normalize_translation(polygon.vertices)
 
         for pts in reflexive_pool:
-            poly = convex_hull(pts)
-            hs = hilbert_prefix(poly, 5)
-            deg = degree(poly)
+            rep = classify(convex_hull(pts), m_max=5)
+            hs, deg = rep.hilbert, rep.degree
             for m in range(3, 6):
                 assert hs[m] - 3 * hs[m - 1] + 3 * hs[m - 2] - hs[m - 3] == deg
         verdict(6, "randomised property suites")

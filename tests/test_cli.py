@@ -474,6 +474,16 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         ({"db.palp": "3 x\n"}, ["lists", "db.palp"], "record 1: non-integer header"),
         ({"db.palp": "0 3\n"}, ["lists", "db.palp"], "record 1: bad shape 0x3"),
         (
+            {"db.palp": "4 3\n1_0 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"},
+            ["lists", "db.palp"],
+            "record 1: non-integer entry",
+        ),
+        (
+            {"db.palp": "4 3\n\u0661 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"},
+            ["lists", "db.palp"],
+            "record 1: non-integer entry",
+        ),
+        (
             {"db.json": "[]", "e.json": "[1, 2]"},
             ["verify", "db.json", "--expected", "e.json"],
             "expected-lists file must be a JSON object",
@@ -518,6 +528,8 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         "palp_header_3",
         "palp_header_3_x",
         "palp_header_0_3",
+        "palp_entry_underscore",
+        "palp_entry_arabic_indic_digit",
         "expected_not_object",
         "sidecar_empty_path",
         "expected_empty_path",

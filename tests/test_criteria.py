@@ -13,6 +13,7 @@ import fano3.criteria
 import fano3.intlinalg
 import fano3.polygon
 import fano3.polytope
+import oracles
 from conftest import (
     AFT_FIXTURE,
     CUBE,
@@ -46,7 +47,7 @@ from fano3.polygon import (
     edge_lattice_lengths,
     facet_to_polygon,
 )
-from fano3.polytope import convex_hull, lattice_point_list
+from fano3.polytope import convex_hull
 
 
 
@@ -427,7 +428,7 @@ class TestClassify:
         pool = random.Random(0x7E57).sample(reflexive_pool, 30)
         for pts in list(NAMED_FANO.values()) + pool:
             poly = hull(pts)
-            full = hull(lattice_point_list(poly))
+            full = hull(oracles.brute_points(pts))
             assert len(full.vertices) == len(poly.vertices)
             assert classify(full).to_dict() == classify(poly).to_dict()
 

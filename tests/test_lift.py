@@ -21,7 +21,7 @@ class TestPentagonLift:
             (0, 0, 0, 1),
             (1, 1, 0, 1),
         )
-        assert cone.summand_index == (0, 0, 0, 1, 1)
+        assert [ray[2:].index(1) for ray in cone.rays] == [0, 0, 0, 1, 1]
         assert len(cone.rays[0]) == 4
 
 
@@ -41,7 +41,7 @@ class TestSquareLift:
         cone = minkowski_lift(poly, dec)
         assert len(cone.rays[0]) == 4
         assert len(cone.rays) == 4
-        assert sorted(cone.summand_index) == [0, 0, 1, 1]
+        assert sorted(ray[2:].index(1) for ray in cone.rays) == [0, 0, 1, 1]
 
 
 class TestLiftContract:
@@ -56,10 +56,12 @@ class TestLiftContract:
         poly = LatticePolygon(PENTAGON)
         (dec,) = maximal_decompositions(poly)
         cone = minkowski_lift(poly, dec)
-        for ray, k in zip(cone.rays, cone.summand_index):
+        # rays come summand by summand, each summand's vertices in order
+        owners = [k for k, summand in enumerate(dec.summands) for _ in summand.vertices]
+        for ray, k in zip(cone.rays, owners, strict=True):
             block = ray[2:]
             assert sum(block) == 1
-            assert block[k] == 1
+            assert block.index(1) == k
 
     def test_vertex_choices_land_in_polygon(self):
         # one ray per summand: the 2d parts sum to a lattice point of the
@@ -70,8 +72,8 @@ class TestLiftContract:
         (dec,) = maximal_decompositions(poly)
         cone = minkowski_lift(poly, dec)
         groups = {}
-        for ray, k in zip(cone.rays, cone.summand_index):
-            groups.setdefault(k, []).append(ray)
+        for ray in cone.rays:
+            groups.setdefault(ray[2:].index(1), []).append(ray)
         inside = oracles.polygon_lattice_points(PENTAGON)
         for choice in product(*groups.values()):
             total = tuple(sum(r[i] for r in choice) for i in range(len(cone.rays[0])))

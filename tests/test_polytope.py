@@ -25,7 +25,6 @@ from fano3.polytope import (
     convex_hull,
     is_fano,
     is_reflexive,
-    lattice_point_list,
     lattice_points,
     normalized_volume,
     polar,
@@ -101,7 +100,7 @@ class TestConvexHull:
         # on its facets and edges, which the facet cycles must leave out
         for pts in NAMED_FANO.values():
             fixture = convex_hull(pts)
-            full = convex_hull(lattice_point_list(fixture))
+            full = convex_hull(oracles.brute_points(pts))
             assert set(full.vertices) == set(fixture.vertices)
             assert [f.normal for f in full.facets] == [f.normal for f in fixture.facets]
             polys.append(full)
@@ -132,7 +131,7 @@ class TestConvexHull:
         inputs = list(NAMED_FANO.values()) + pool
         inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
         # triangulations with points inside facets and on edges
-        inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
+        inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
         for pts in inputs:
             poly = convex_hull(pts)
             for facet in poly.facets:
@@ -150,7 +149,7 @@ class TestConvexHull:
         messages = set()
         # the cube's top facet is two triangles; that of the hull of its 27
         # lattice points is eight, on the nine points of the facet
-        for pts in (list(CUBE), lattice_point_list(convex_hull(CUBE))):
+        for pts in (list(CUBE), oracles.brute_points(CUBE)):
             top = [t for t in hull_triangles(pts) if t[0] == t[1] == 0 < t[2]]
             assert len(top) in (2, 8)
             for dropped in top:
@@ -175,7 +174,7 @@ class TestConvexHull:
         inputs = list(NAMED_FANO.values()) + pool
         inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
         # with non-vertex points the hull renumbers its vertices
-        inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
+        inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
         for pts in inputs:
             poly = convex_hull(pts)
             assert len(poly.facet_adjacency) == len(poly.edges)
@@ -283,7 +282,7 @@ class TestConvexHull:
         # renumber their vertices and drop non-corner points.
         rng = random.Random(0xB17E)
         inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
-        inputs += [lattice_point_list(convex_hull(pts)) for pts in NAMED_FANO.values()]
+        inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
         digest = hashlib.sha256()
         for pts in inputs:
             for f in convex_hull(pts).facets:
@@ -403,16 +402,17 @@ class TestLatticePoints:
                 assert lattice_points(poly, m, interior=True) == lattice_points(poly, m - 1)
 
     def test_point_list_matches_count(self):
+        # the oracle's points of 2P, and those strictly inside its facet planes
         poly = convex_hull(PYRAMID)
-        pts = lattice_point_list(poly, 2)
-        assert len(pts) == oracles.brute_count(PYRAMID, 2)
-        assert len(set(pts)) == len(pts)
-        for f in poly.facets:
-            assert all(dot(f.normal, p) <= 2 * f.height for p in pts)
+        pts = oracles.brute_points(PYRAMID, 2)
+        planes = oracles.brute_facets(PYRAMID).items()
+        inside = [p for p in pts if all(dot(n, p) < 2 * h for n, h in planes)]
+        assert lattice_points(poly, 2) == len(pts)
         # the interior of 2P holds the points of P, since P is reflexive
-        assert len(lattice_point_list(poly, 2, interior=True)) == oracles.brute_count(PYRAMID, 1)
-        assert lattice_point_list(poly, 0) == [(0, 0, 0)]
-        assert lattice_point_list(poly, 0, interior=True) == []
+        assert lattice_points(poly, 2, interior=True) == len(inside)
+        assert len(inside) == oracles.brute_count(PYRAMID, 1)
+        assert oracles.brute_points(PYRAMID, 0) == [(0, 0, 0)]
+        assert lattice_points(poly, 0) == 1
         assert lattice_points(poly, 0, interior=True) == 0
 
     def test_negative_dilation_rejected(self):
