@@ -14,7 +14,6 @@ from .criteria import (
     criterion_rigid_face,
     criterion_totaro_rigid,
 )
-from .lift import LiftedCone, minkowski_lift
 from .polygon import (
     LatticePolygon,
     MinkowskiDecomposition,
@@ -46,7 +45,6 @@ __all__ = [
     "Facet",
     "LatticePolygon",
     "LatticePolytope",
-    "LiftedCone",
     "MinkowskiDecomposition",
     "PolygonClass",
     "classify",
@@ -64,7 +62,6 @@ __all__ = [
     "is_reflexive",
     "lattice_points",
     "maximal_decompositions",
-    "minkowski_lift",
     "normalized_volume",
     "polar",
 ]

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import db
 from .criteria import ClassificationReport, classify
-from .lift import minkowski_lift
 from .polygon import maximal_decompositions
 from .polytope import convex_hull
 
@@ -181,8 +180,7 @@ def cmd_inspect(args) -> int:
             parts = [list(s.vertices) for s in dec.summands]
             print(f"    maximal decomposition {di}: {parts}")
             if args.lift:
-                cone = minkowski_lift(facet.polygon, dec)
-                print(f"      lifted rays: {[list(r) for r in cone.rays]}")
+                print(f"      lifted rays: {[list(r) for r in dec.lifted_rays]}")
     return 0
 
 

@@ -19,8 +19,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
+
+from .criteria import ClassificationReport
 
 
 class DatabaseFormatError(ValueError):
@@ -28,8 +30,9 @@ class DatabaseFormatError(ValueError):
 
 
 def _read_text(path) -> str:
+    """The file's text; a leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not UTF-8 text ({exc})") from exc
@@ -227,23 +230,11 @@ def reference_lists() -> dict:
     return _check_lists(json.loads(text))
 
 
-CSV_COLUMNS = (
-    "id",
-    "reflexive",
-    "smooth",
-    "isolated_singular",
-    "nodes",
-    "totaro_rigid",
-    "rigid_face_obstruction",
-    "indec_obstruction",
-    "aft_obstruction",
-    "low_degree",
-    "degree",
-    "facet_classes",
-    "rigid_face_witnesses",
-    "indec_witnesses",
-    "aft_witnesses",
-    "hilbert",
+# the report's keys as CSV columns: its scalar fields, then its tuple fields
+# (multi-valued cells), each in declaration order; the sort is stable
+CSV_COLUMNS = tuple(
+    f.metadata.get("key", f.name)
+    for f in sorted(fields(ClassificationReport), key=lambda f: f.type.startswith("tuple"))
 )
 
 

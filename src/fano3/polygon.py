@@ -7,7 +7,8 @@ such charts, and the summand search also runs on a facet's steps in Z^3.
 
 Minkowski summands of a convex lattice polygon are enumerated by the edge
 vector method: a lattice summand is exactly a choice of sub-lengths of the
-edge vectors that closes up to zero, taken in the same cyclic order.
+edge vectors that closes up to zero, taken in the same cyclic order.  Each
+decomposition also carries the rays of its lifted cone (Altmann's).
 """
 
 from __future__ import annotations
@@ -252,6 +253,23 @@ class MinkowskiDecomposition:
 
     def key(self) -> tuple:
         return tuple(sorted(translation_key(s) for s in self.summands))
+
+    @property
+    def lifted_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Rays of the lifted cone of F = D_0 + ... + D_r, in Z^2 + Z^(r+1).
+
+        Every vertex v of the summand D_k gives the ray (v; e_k), summand by
+        summand, each summand's vertices in boundary order; the e-block names
+        the summand and makes the ray primitive.  The trivial decomposition
+        (r = 0) gives the cone over F x {1}.  Only the rays are produced; the
+        toric varieties of these cones are outside this package.
+        """
+        r1 = len(self.summands)
+        return tuple(
+            (x, y) + tuple(int(j == k) for j in range(r1))
+            for k, summand in enumerate(self.summands)
+            for x, y in summand.vertices
+        )
 
 
 def _summand_polygon(poly: LatticePolygon, assignment: tuple[int, ...]) -> LatticePolygon:

@@ -17,7 +17,6 @@ import oracles
 from conftest import NAMED_FANO, PENTAGON, PYRAMID, apply_matrix, random_unimodular
 from fano3 import db
 from fano3.criteria import classify, criterion_aft, criterion_indec
-from fano3.lift import minkowski_lift
 from fano3.polygon import (
     AM_TRIANGLE,
     STANDARD_SQUARE,
@@ -69,8 +68,7 @@ class TestCriterion2Pentagon:
                 translation_key(LatticePolygon(((0, 0), (1, 1)))),
             )
         )
-        cone = minkowski_lift(poly, dec)
-        assert cone.rays == (
+        assert dec.lifted_rays == (
             (0, 0, 1, 0),
             (-1, 0, 1, 0),
             (0, -1, 1, 0),

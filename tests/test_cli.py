@@ -423,6 +423,27 @@ def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("role", ["palp", "json", "sidecar", "expected"])
+def test_byte_order_mark_is_ignored(db_path, tmp_path, capsys, role):
+    palp = tmp_path / "db.palp"
+    palp.write_text(SMOKE_PALP)
+    sidecar = tmp_path / "ids.json"
+    sidecar.write_text("[7, 9]")
+    expected = tmp_path / "expected.json"
+    assert main(["lists", str(db_path), "--out", str(expected)]) == 0
+    argv, marked = {
+        "palp": (["lists", str(palp)], palp),
+        "json": (["lists", str(db_path)], db_path),
+        "sidecar": (["lists", str(palp), "--sidecar", str(sidecar)], sidecar),
+        "expected": (["verify", str(db_path), "--expected", str(expected)], expected),
+    }[role]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+
+
 # JSON that the decoder rejects past JSONDecodeError: nesting deeper than the
 # recursion limit, and an integer over the int/str conversion digit limit
 UNREADABLE_JSON = [pytest.param("[" * 200000, id="deep")]

@@ -219,9 +219,6 @@ class TestReports:
         assert lines[1].startswith("1,1,0")
         assert lines[2].startswith("2,1,1")
 
-    def test_csv_columns_are_the_json_keys(self, reports):
-        assert sorted(db.CSV_COLUMNS) == sorted(reports[0].to_dict())
-
     def test_unknown_format(self, reports, tmp_path):
         with pytest.raises(ValueError):
             db.write_reports(reports, tmp_path / "r.xml", format="xml")
