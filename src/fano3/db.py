@@ -7,6 +7,9 @@ integers r and c followed by an r x c integer matrix; one of r, c must be 3
 and the vertices are the columns when r = 3, the rows when c = 3.  The JSON
 format is an array of objects ``{"id": int, "vertices": [[x, y, z], ...]}``.
 
+``write_reports`` renders the JSON report from the report fields: given an
+indent, ``json`` would run its pure-Python encoder, with a file write per token.
+
 IDs identify polytopes in an external numbering (for the classified
 reflexive 3-polytopes, the Graded Ring Database order).  They are treated as
 opaque input: PALP blocks are numbered 1, 2, ... in file order unless a
@@ -21,8 +24,10 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
-from .criteria import ClassificationReport
+from .criteria import _REPORT_KEYS, ClassificationReport
+from .polygon import PolygonClass
 
 
 class DatabaseFormatError(ValueError):
@@ -94,11 +99,11 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
     The header may carry extra tokens after the two dimensions (they are
     ignored).  A 3 x 3 block is read column-wise; it holds three points
     either way, so it is never a 3-polytope and the hull rejects it.
-    ``ids`` overrides the 1-based file-order numbering.
+    ``ids`` overrides the 1-based file-order numbering; a BOM may start any line.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    lines = [ln for ln in (raw.strip() for raw in stream) if ln]
+    lines = [ln for ln in (raw.removeprefix("\ufeff").strip() for raw in stream) if ln]
     records = []
     pos = 0
     index = 0
@@ -124,10 +129,7 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
                 )
             rows.append(_palp_ints(tokens, index, "entry"))
         pos += r
-        if r == 3:
-            vertices = tuple(zip(*rows))
-        else:
-            vertices = tuple(tuple(row) for row in rows)
+        vertices = tuple(zip(*rows)) if r == 3 else tuple(map(tuple, rows))
         records.append(PolytopeRecord(id=index, vertices=vertices))
     if ids is not None:
         if len(ids) != len(records):
@@ -236,6 +238,7 @@ CSV_COLUMNS = tuple(
     f.metadata.get("key", f.name)
     for f in sorted(fields(ClassificationReport), key=lambda f: f.type.startswith("tuple"))
 )
+_JSON_FIELDS = tuple((f"  {encode_basestring_ascii(k)}: ", name) for k, name in _REPORT_KEYS)
 
 
 def _csv_cell(value) -> str:
@@ -251,18 +254,45 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json_value(value, pad: str = "  ") -> str:
+    """``value`` as ``json.dumps(..., indent=1)`` writes it after ``pad``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is tuple:  # of ints, of facet classes (by label) or of int pairs
+        if not value:
+            return "[]"
+        inner, first = pad + " ", type(value[0])
+        items = (
+            map(int.__repr__, value) if first is int
+            else [encode_basestring_ascii(c.label()) for c in value] if first is PolygonClass
+            else [_json_value(item, inner) for item in value]
+        )
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if kind is bool:
+        return "true" if value is True else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"report value of type {kind.__name__} is not JSON")
+
+
 def write_reports(reports, path, format: str = "json") -> None:
-    """Persist classification reports, sorted by id, byte-stable across runs."""
-    rows = sorted((rep.to_dict() for rep in reports), key=lambda d: d["id"])
+    """Persist classification reports, sorted by id, byte-stable across runs.
+
+    JSON is what ``json.dumps`` writes for the ``to_dict`` rows at ``indent=1``, and a newline."""
+    reports = sorted(reports, key=lambda rep: rep.polytope_id)
     if format == "json":
         with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
+            sep = "[\n {\n"
+            for rep in reports:
+                fh.write(sep + ",\n".join(k + _json_value(getattr(rep, n)) for k, n in _JSON_FIELDS))
+                sep = "\n },\n {\n"
+            fh.write("\n }\n]\n" if reports else "[]\n")
     elif format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in rows:
+            for row in (rep.to_dict() for rep in reports):
                 writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
     else:
         raise ValueError(f"unknown report format {format!r}")

@@ -423,23 +423,29 @@ def test_non_utf8_input_is_input_error(db_path, tmp_path, capsys, bad_file):
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
 
 
-@pytest.mark.parametrize("role", ["palp", "json", "sidecar", "expected"])
+@pytest.mark.parametrize("role", ["palp", "palp_twice", "json", "sidecar", "expected"])
 def test_byte_order_mark_is_ignored(db_path, tmp_path, capsys, role):
     palp = tmp_path / "db.palp"
     palp.write_text(SMOKE_PALP)
+    # marked twice, as two marked files concatenated: a mark starts record 3
+    twice = tmp_path / "twice.palp"
+    twice.write_text(SMOKE_PALP * 2)
     sidecar = tmp_path / "ids.json"
     sidecar.write_text("[7, 9]")
     expected = tmp_path / "expected.json"
     assert main(["lists", str(db_path), "--out", str(expected)]) == 0
     argv, marked = {
         "palp": (["lists", str(palp)], palp),
+        "palp_twice": (["lists", str(twice)], twice),
         "json": (["lists", str(db_path)], db_path),
         "sidecar": (["lists", str(palp), "--sidecar", str(sidecar)], sidecar),
         "expected": (["verify", str(db_path), "--expected", str(expected)], expected),
     }[role]
     assert main(argv) == 0
     plain = capsys.readouterr()
-    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    copies = 2 if role == "palp_twice" else 1
+    part = marked.read_bytes()[: marked.stat().st_size // copies]
+    marked.write_bytes((b"\xef\xbb\xbf" + part) * copies)
     assert main(argv) == 0
     assert capsys.readouterr() == plain
 
@@ -504,6 +510,17 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             ["lists", "db.palp"],
             "record 1: non-integer entry",
         ),
+        # only a byte-order mark that starts a line is dropped
+        (
+            {"db.palp": "4 3\n1\ufeff0 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"},
+            ["lists", "db.palp"],
+            "record 1: non-integer entry",
+        ),
+        (
+            {"db.palp": "4 3\n1 \ufeff0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"},
+            ["lists", "db.palp"],
+            "record 1: non-integer entry",
+        ),
         (
             {"db.json": "[]", "e.json": "[1, 2]"},
             ["verify", "db.json", "--expected", "e.json"],
@@ -551,6 +568,8 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         "palp_header_0_3",
         "palp_entry_underscore",
         "palp_entry_arabic_indic_digit",
+        "palp_entry_inner_byte_order_mark",
+        "palp_entry_byte_order_mark_after_space",
         "expected_not_object",
         "sidecar_empty_path",
         "expected_empty_path",

@@ -1,14 +1,18 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from conftest import (
+    AFT_FIXTURE,
     FANO_UNITARY_NOT_HEIGHT_ONE,
     NAMED_FANO,
     NOT_REFLEXIVE,
     PYRAMID,
     TETRAHEDRON,
+    apply_matrix,
+    large_shear,
 )
 from fano3 import db
 from fano3.criteria import classify
@@ -227,14 +231,76 @@ class TestReports:
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("format", ["json", "csv"])
-def test_report_bytes_match_golden(tmp_path, format):
-    # fixed bytes: they pin the report format independently of to_dict
+def golden_reports():
     inputs = list(NAMED_FANO.values()) + [NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE]
-    reports = [
+    return [
         classify(convex_hull(vertices), polytope_id=i, m_max=2)
         for i, vertices in enumerate(inputs, start=1)
     ]
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_report_bytes_match_golden(tmp_path, format):
+    # fixed bytes: they pin the report format independently of to_dict
     path = tmp_path / f"report.{format}"
-    db.write_reports(reports, path, format=format)
+    db.write_reports(golden_reports(), path, format=format)
     assert path.read_bytes() == (GOLDEN / f"golden_report.{format}").read_bytes()
+
+
+def test_json_report_needs_no_json_encoder(tmp_path, monkeypatch):
+    # the report is rendered from the fields: the golden bytes come out even
+    # when the stdlib encoder, which json.dump would run, is broken
+    def broken(self, o, _one_shot=False):
+        raise AssertionError("json encoder called")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", broken)
+    path = tmp_path / "report.json"
+    db.write_reports(golden_reports(), path)
+    assert path.read_bytes() == (GOLDEN / "golden_report.json").read_bytes()
+
+
+class TestJsonReportBytes:
+    """The JSON report is the bytes json.dumps writes for the sorted rows."""
+
+    @staticmethod
+    def assert_dumps_bytes(reports, path):
+        db.write_reports(reports, path)
+        rows = sorted((rep.to_dict() for rep in reports), key=lambda d: d["id"])
+        assert path.read_text() == json.dumps(rows, indent=1) + "\n"
+
+    def test_pool_and_moves(self, reflexive_pool, tmp_path):
+        rng = random.Random(0x4EF)
+        inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
+        reports = [
+            classify(convex_hull(pts), polytope_id=i, m_max=5)
+            for i, pts in zip(rng.sample(range(10**6), len(inputs)), inputs)
+        ]
+        self.assert_dumps_bytes(reports, tmp_path / "r.json")
+
+    def test_fixtures_with_none_fields(self, tmp_path):
+        inputs = list(NAMED_FANO.values()) + [NOT_REFLEXIVE]
+        reports = [
+            classify(convex_hull(pts), polytope_id=i, m_max=3)
+            for i, pts in enumerate(inputs, start=1)
+        ]
+        assert reports[-1].degree is None and reports[-1].hilbert is None
+        self.assert_dumps_bytes(reports, tmp_path / "r.json")
+
+    def test_aft_pairs(self, tmp_path):
+        report = classify(convex_hull(AFT_FIXTURE), polytope_id=5, m_max=0)
+        assert report.aft_witnesses
+        self.assert_dumps_bytes([report], tmp_path / "r.json")
+
+    def test_sidecar_ids_beyond_int64(self, tmp_path):
+        palp, sidecar = tmp_path / "db.palp", tmp_path / "ids.json"
+        palp.write_text(PYRAMID_PALP + ROWWISE_PALP + ROWWISE_PALP)
+        sidecar.write_text(json.dumps([2**64 + 3, -7, 2**63]))
+        reports = [
+            classify(convex_hull(rec.vertices), polytope_id=rec.id)
+            for rec in db.read_records(str(palp), str(sidecar))
+        ]
+        self.assert_dumps_bytes(reports, tmp_path / "r.json")
+
+    def test_no_reports(self, tmp_path):
+        self.assert_dumps_bytes([], tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == "[]\n"
