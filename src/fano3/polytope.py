@@ -1,16 +1,17 @@
 """Lattice polytopes in Z^3: hull, face lattice, polar, volume, point count.
 
-All geometric predicates are exact 3x3 integer determinants; there is no
+All geometric predicates are exact integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
-vertices), so the hull is built by straightforward incremental insertion.
-Each facet is read off the hull's own triangles in Z^3, and its lattice
-polygon is charted only when something asks for it.
+points), so the hull is built by gift wrapping in Z^3, one whole facet per
+wrap, and a facet's lattice polygon is charted only when something asks
+for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import index
 
@@ -79,159 +80,181 @@ def _lattice_point(p) -> Vec:
         raise ValueError(f"not a point of Z^3: {p!r}") from None
 
 
-def _plane(p: Vec, q: Vec, r: Vec) -> tuple[int, int, int, int]:
-    """The plane (n, <n, p>) of the triangle (p, q, r), n = (q - p) x (r - p).
-
-    <n, s> > <n, p> exactly when the tetrahedron (p, q, r, s) has positive volume.
-    """
-    px, py, pz = p
-    ux, uy, uz = q[0] - px, q[1] - py, q[2] - pz
-    vx, vy, vz = r[0] - px, r[1] - py, r[2] - pz
-    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-    return nx, ny, nz, nx * px + ny * py + nz * pz
-
-
-def _initial_simplex(points: list[Vec]) -> tuple[int, int, int, int]:
-    """Indices (a, b, c, d) of a simplex with d below the plane of (a, b, c).
-
-    The triangles (a, b, c), (a, d, b), (b, d, c) and (c, d, a) are then
-    its boundary, oriented outward.
-    """
+def _check_full_dimension(pts: list[Vec]) -> None:
+    """Raise DegenerateInputError, naming the line or plane, if pts do not span R^3."""
     # ``convex_hull`` passes at least 4 distinct points, so p0 != p1
-    i0, i1 = 0, 1
-    # the first point p off the line through p0 and p1: u x (p - p0) != 0
-    (x0, y0, z0), (x1, y1, z1) = points[i0], points[i1]
+    (x0, y0, z0), (x1, y1, z1) = pts[0], pts[1]
     ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
-    for i2, (x, y, z) in enumerate(points):
+    # the first point p off the line through p0 and p1: n = u x (p - p0) != 0
+    for x, y, z in pts:
         x, y, z = x - x0, y - y0, z - z0
-        if uy * z != uz * y or uz * x != ux * z or ux * y != uy * x:
+        nx, ny, nz = uy * z - uz * y, uz * x - ux * z, ux * y - uy * x
+        if nx or ny or nz:
             break
     else:
         raise DegenerateInputError("points are collinear")
-    nx, ny, nz, offset = _plane(points[i0], points[i1], points[i2])
-    for i3, (x, y, z) in enumerate(points):
-        value = nx * x + ny * y + nz * z
-        if value != offset:
-            break
-    else:
+    offset = nx * x0 + ny * y0 + nz * z0
+    if all(nx * x + ny * y + nz * z == offset for x, y, z in pts):
         raise DegenerateInputError("points are coplanar, expected dimension 3")
-    if value > offset:
-        i1, i2 = i2, i1
-    return i0, i1, i2, i3
 
 
-def _hull_triangles(points: list[Vec]) -> list[tuple[int, ...]]:
-    """Triangulated boundary of the hull, triangles oriented outward.
+def _start(pts: list[Vec]) -> tuple[int, int, Vec]:
+    """A hull edge a -> c and the outward normal m of a supporting plane through it.
 
-    Incremental insertion: every remaining point that strictly sees some
-    triangle tears out the visible region and is coned over the horizon.
-    Points on the current hull (including ones lying inside a face plane)
-    see nothing strictly and are skipped, which is correct because the hull
-    only ever grows.  Each triangle (a, b, c) keeps its plane from
-    ``_plane``, computed once when it is added, so a point p sees it when
-    <n, p> > <n, a>.  Returns (nx, ny, nz, <n, a>, a, b, c) per triangle,
-    with the raw outward normal n = (b - a) x (c - a).
+    a is the smallest point, and the plane is vertical, through a and the
+    next corner of the xy-projection.  A wrap inside the plane from a,
+    farthest point on ties, gives c: no point of the plane lies right of
+    a -> c seen from outside, so the face of the plane, an edge or a facet,
+    steps from a to c.
     """
-    base = _initial_simplex(points)
-    faces: dict[int, tuple[int, ...]] = {}
-    edge_owner: dict[tuple[int, int], int] = {}
-    a, b, c, d = base
-    for next_id, (a, b, c) in enumerate(((a, b, c), (a, d, b), (b, d, c), (c, d, a))):
-        faces[next_id] = (*_plane(points[a], points[b], points[c]), a, b, c)
-        edge_owner[a, b] = edge_owner[b, c] = edge_owner[c, a] = next_id
+    a = pts.index(min(pts))
+    ax, ay, az = pts[a]
+    # every projection lies at x > ax, or at x = ax and y >= ay: seen from
+    # (ax, ay) the directions span less than a half-turn, from (0, 1)
+    # clockwise, and one pass finds the most clockwise one, d
+    dx, dy = 0, 1
+    for x, y, _ in pts:
+        x, y = x - ax, y - ay
+        if dx * y < dy * x:
+            dx, dy = x, y
+    # the plane's points a + (x, y, z), (x, y) on the ray of d, are read as
+    # (s, t) = (<(x, y), d>, z): right-handed seen along m = (dy, -dx, 0),
+    # and a, at (0, 0), is the smallest of them too
+    c, cs, ct = a, 0, 0
+    for i, (x, y, z) in enumerate(pts):
+        x, y = x - ax, y - ay
+        if dx * y == dy * x:
+            s, t = dx * x + dy * y, z - az
+            turn = cs * t - ct * s
+            if turn < 0 or turn == 0 and s * s + t * t > cs * cs + ct * ct:
+                c, cs, ct = i, s, t
+    return a, c, (dy, -dx, 0)
 
-    for p, (x, y, z) in enumerate(points):
-        if p in base:
-            continue
-        visible = [
-            fid
-            for fid, (nx, ny, nz, offset, _, _, _) in faces.items()
-            if nx * x + ny * y + nz * z > offset
-        ]
-        if not visible:
-            continue
-        visible_set = set(visible)
-        horizon = []
-        for fid in visible:
-            _, _, _, _, a, b, c = faces.pop(fid)
-            for u, v in ((a, b), (b, c), (c, a)):
-                # a step between two visible faces is read once from each side:
-                # drop the other side's entry, which no live face owns
-                if edge_owner[v, u] in visible_set:
-                    del edge_owner[v, u]
-                else:
-                    horizon.append((u, v))
-        # the cone over the horizon, whose steps u -> v now belong to new faces
-        for u, v in horizon:
-            next_id += 1
-            faces[next_id] = (*_plane(points[u], points[v], points[p]), u, v, p)
-            edge_owner[u, v] = edge_owner[v, p] = edge_owner[p, u] = next_id
 
-    return list(faces.values())
+def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
+    """The facet whose cycle steps u -> v.
+
+    m is the outward normal of another supporting plane through the hull
+    edge uv, whose face, if it is more than the edge, steps v -> u.  The
+    plane of m reversed has no point below it; turned about the line uv, in
+    one pass over the points, it becomes the plane through u, v and some q
+    that has no point above it.  A second pass collects the members of that
+    plane and rejects any point above it.  Three members are the triangle
+    (u, v, q); more are wrapped inside the plane from v back to u, farthest
+    point on ties.  Returns (normal, height, area2, cycle, points, others):
+    the cycle of corners from its smallest index, their points, and the
+    members off the cycle.
+    """
+    ux, uy, uz = pts[u]
+    vx, vy, vz = pts[v]
+    ex, ey, ez = vx - ux, vy - uy, vz - uz
+    nx, ny, nz = -m[0], -m[1], -m[2]
+    h = nx * ux + ny * uy + nz * uz
+    # a point p above the plane turns it to the plane through p, with the raw
+    # normal (v - u) x (p - u): p lies left of u -> v seen along it
+    turned = False
+    for x, y, z in pts:
+        if nx * x + ny * y + nz * z > h:
+            x, y, z = x - ux, y - uy, z - uz
+            nx, ny, nz = ey * z - ez * y, ez * x - ex * z, ex * y - ey * x
+            h = nx * ux + ny * uy + nz * uz
+            turned = True
+    if not turned:
+        # no point lies below the plane of m: were m outward, all would lie
+        # on it, but the points span R^3
+        raise AssertionError("vertex on the wrong side of a facet")
+    members = []
+    for i, (x, y, z) in enumerate(pts):
+        value = nx * x + ny * y + nz * z
+        if value >= h:
+            if value > h:
+                raise AssertionError("vertex on the wrong side of a facet")
+            members.append(i)
+    g = gcd(nx, ny, nz)
+    normal, height = (nx // g, ny // g, nz // g), h // g
+    if len(members) == 3:
+        # the triangle (u, v, q): its raw normal (v - u) x (q - u) is g times
+        # the primitive one, g its normalized area
+        q = sum(members) - u - v
+        cycle = (u, v, q) if u < v and u < q else (v, q, u) if v < q else (q, u, v)
+        return normal, height, g, cycle, tuple([pts[r] for r in cycle]), ()
+
+    # read the plane in two coordinates: drop one, k, where the normal is
+    # nonzero, and order the other two so that a left turn seen from outside
+    # stays one; then det(n, w - c, r - c) has the sign of their 2x2 cross
+    k, i, j = (nz, 0, 1) if nz else (ny, 2, 0) if ny else (nx, 1, 2)
+    if k < 0:
+        i, j = j, i
+    flat = [(pts[r][i], pts[r][j], r) for r in members]
+    # the corner after c is the member w with every member left of or on
+    # c -> w, the farthest one on ties
+    cycle = [u]
+    ua, ub = pts[u][i], pts[u][j]
+    c, ca, cb = v, pts[v][i], pts[v][j]
+    # the shoelace sum of p x p' over the steps p -> p' is area2 times |k| / g,
+    # the size of the primitive normal's coordinate; this is the term of u -> v
+    area = ua * cb - ub * ca
+    while c != u:
+        if len(cycle) == len(members):
+            raise AssertionError("facet boundary is not one cycle")
+        cycle.append(c)
+        w, wa, wb = u, ua - ca, ub - cb
+        for ra, rb, r in flat:
+            ra, rb = ra - ca, rb - cb
+            turn = wa * rb - wb * ra
+            if turn < 0 or turn == 0 and ra * ra + rb * rb > wa * wa + wb * wb:
+                w, wa, wb = r, ra, rb
+        area += ca * wb - cb * wa
+        c, ca, cb = w, ca + wa, cb + wb
+    others = tuple(set(members).difference(cycle)) if len(members) > len(cycle) else ()
+    first = cycle.index(min(cycle))
+    cycle = (*cycle[first:], *cycle[:first])
+    return normal, height, area * g // abs(k), cycle, tuple([pts[r] for r in cycle]), others
 
 
 def convex_hull(points) -> LatticePolytope:
     """Convex hull of lattice points in Z^3 with its full face data.
 
-    Coplanar hull triangles are merged into facets.  The raw normal
-    (b - a) x (c - a) of a triangle is g times the primitive one, g its
-    normalized area, so a facet's ``area2`` is the sum of the g.  Its cycle
-    is the boundary of its triangles, corners only, found in Z^3 by
-    det(n, u, v) of consecutive steps, and starts at its smallest vertex
-    index; no chart is built.  One map from each directed cycle step to its
-    facet gives the edges and their oriented facet pairs.  Raises
-    DegenerateInputError when the points do not affinely span R^3.
+    Gift wrapping, one whole facet per wrap: ``_start`` finds a hull edge,
+    and ``_wrap`` the facet across it, then the facet across each cycle
+    step whose reverse is on no facet yet, so F facets take F wraps over
+    the points.  Each wrap checks that no point lies above its facet and
+    reads the facet's ``area2`` and its cycle of corners, counterclockwise
+    seen from outside, in Z^3.  Facets are sorted by (normal, height); a
+    cycle starts at its smallest vertex index.  One map from each directed
+    cycle step to its facet gives the edges and their oriented facet pairs.
+    Raises DegenerateInputError when the points do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
     if len(pts) < 4:
         raise DegenerateInputError("need at least 4 distinct points")
+    _check_full_dimension(pts)
 
-    # per facet plane: the normalized area, then three members per triangle
-    planes: dict[tuple[Vec, int], list[int]] = {}
-    for nx, ny, nz, offset, a, b, c in _hull_triangles(pts):
-        g = gcd(nx, ny, nz)
-        plane = planes.setdefault(((nx // g, ny // g, nz // g), offset // g), [0])
-        plane[0] += g
-        plane += a, b, c
-
-    facets = []
-    for (normal, height), (area2, *cycle) in sorted(planes.items()):
-        # a single hull triangle is a cycle of corners already; else the steps
-        # whose reverse is on no triangle of the plane make one cycle
-        if len(cycle) > 3:
-            a, b, c = cycle[::3], cycle[1::3], cycle[2::3]
-            steps = set(zip(a + b + c, b + c + a))
-            after = {u: v for u, v in steps if (v, u) not in steps}
-            cycle = [start := next(iter(after))]
-            while (u := after.get(cycle[-1])) != start and len(cycle) <= len(after):
-                cycle.append(u)
-            if len(cycle) != len(after):
-                raise AssertionError("facet boundary is not one cycle")
-        points = [pts[i] for i in cycle]
-        if len(cycle) > 3:
-            # keep the corners, which turn left as seen from outside: the steps
-            # u into and v out of a corner have det(n, u, v) > 0
-            nx, ny, nz = normal
-            corners = []
-            (ax, ay, az), (bx, by, bz) = points[-2:]
-            ux, uy, uz = bx - ax, by - ay, bz - az
-            for j, (cx, cy, cz) in enumerate(points):
-                vx, vy, vz = cx - bx, cy - by, cz - bz
-                turn = (nx * (uy * vz - uz * vy) + ny * (uz * vx - ux * vz)
-                        + nz * (ux * vy - uy * vx))
-                if turn < 0:
-                    raise AssertionError("facet boundary turns right")
-                if turn:
-                    corners.append(j - 1)
-                bx, by, bz, ux, uy, uz = cx, cy, cz, vx, vy, vz
-            cycle, points = [cycle[j] for j in corners], [points[j] for j in corners]
-        k = cycle.index(min(cycle))
-        cycle, points = (*cycle[k:], *cycle[:k]), (*points[k:], *points[:k])
-        facets.append(Facet(cycle, normal, height, area2, points))
+    a, c, m = _start(pts)
+    # the steps to wrap, each with the normal of the facet across it; the
+    # list grows while it is read, and a step on a facet found is skipped
+    found, seen, todo = [], set(), [(c, a, m)]
+    for u, v, m in todo:
+        if (u, v) in seen:
+            continue
+        found.append(facet := _wrap(pts, u, v, m))
+        x = facet[3][-1]
+        for y in facet[3]:
+            seen.add((x, y))
+            todo.append((y, x, facet[0]))
+            x = y
+        if (u, v) not in seen:
+            raise AssertionError("hull edge on a single facet")
+    found.sort()
+    facets = [Facet(cycle, normal, height, area2, points)
+              for normal, height, area2, cycle, points, _ in found]
 
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered
     used = set().union(*(f.vertex_indices for f in facets))
+    # a hull vertex on the plane of a facet is a corner of that facet
+    if not used.isdisjoint(chain.from_iterable(f[5] for f in found)):
+        raise AssertionError("vertex on the wrong side of a facet")
     if len(used) < len(pts):
         renumber = {old: new for new, old in enumerate(sorted(used))}
         for fi, f in enumerate(facets):
@@ -249,36 +272,13 @@ def convex_hull(points) -> LatticePolytope:
             left[u, v] = fi
             u = v
     edges = tuple(sorted([(u, v) for u, v in left if u < v]))
-    try:
-        adjacency = tuple([(left[a, b], left[b, a]) for a, b in edges])
-    except KeyError:
-        raise AssertionError("hull edge on a single facet") from None
+    # the wrap loop has put the reverse of every step on a facet
+    adjacency = tuple([(left[a, b], left[b, a]) for a, b in edges])
     if len(left) != steps or 2 * len(edges) != steps:
         raise AssertionError("hull edge not on exactly two facets")
-
-    poly = LatticePolytope(
-        vertices=tuple(pts),
-        facets=tuple(facets),
-        edges=edges,
-        facet_adjacency=adjacency,
-    )
-    _validate(poly)
-    return poly
-
-
-def _validate(poly: LatticePolytope) -> None:
-    if len(poly.vertices) - len(poly.edges) + len(poly.facets) != 2:
+    if len(pts) - len(edges) + len(facets) != 2:
         raise AssertionError("hull is not a 2-sphere")
-    for facet in poly.facets:
-        (nx, ny, nz), height = facet.normal, facet.height
-        on = set(facet.vertex_indices)
-        for i, (x, y, z) in enumerate(poly.vertices):
-            value = nx * x + ny * y + nz * z
-            if i in on:
-                if value != height:
-                    raise AssertionError("facet vertex off its own hyperplane")
-            elif value >= height:
-                raise AssertionError("vertex on the wrong side of a facet")
+    return LatticePolytope(tuple(pts), tuple(facets), edges, adjacency)
 
 
 def is_fano(poly: LatticePolytope) -> bool:

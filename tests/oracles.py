@@ -67,8 +67,13 @@ def brute_facets(points):
         g = _content(n)
         n = tuple(x // g for x in n)
         for nn in (n, tuple(-x for x in n)):
-            h = _dot(nn, a)
-            if all(_dot(nn, p) <= h for p in points):
+            # a normal that supports is done; one that failed through a may
+            # still support through a point of another triple
+            if nn in facets:
+                continue
+            x, y, z = nn
+            h = x * a[0] + y * a[1] + z * a[2]
+            if all(x * p[0] + y * p[1] + z * p[2] <= h for p in points):
                 facets[nn] = h
     return facets
 

@@ -196,14 +196,15 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("command", ["lists", "verify", "inspect"])
     def test_failed_hull_guard_is_input_error(self, tmp_path, monkeypatch, capsys, command):
-        # without one of the two triangles of the cube's top facet the hull
-        # fails a guard: one "hull" error line and exit 2, not verify's 1
-        hull_triangles = fano3.polytope._hull_triangles
-        top = [t for t in hull_triangles(list(CUBE)) if t[0] == t[1] == 0 < t[2]]
-        monkeypatch.setattr(
-            fano3.polytope, "_hull_triangles",
-            lambda p: [t for t in hull_triangles(p) if t != top[0]],
-        )
+        # a facet wrap that walks each cycle backwards makes the cube's hull
+        # fail a guard: one "hull" error line and exit 2, not verify's 1
+        wrap = fano3.polytope._wrap
+
+        def backwards_wrap(pts, u, v, m):
+            normal, height, area2, cycle, points, others = wrap(pts, u, v, m)
+            return normal, height, area2, cycle[::-1], points[::-1], others
+
+        monkeypatch.setattr(fano3.polytope, "_wrap", backwards_wrap)
         path = tmp_path / "cube.json"
         path.write_text(json.dumps([{"id": 3, "vertices": [list(v) for v in CUBE]}]))
         argv = {

@@ -1,7 +1,11 @@
+import ast
 import hashlib
+import inspect
 import random
+import traceback
+from collections import Counter
 from dataclasses import fields
-from itertools import permutations
+from itertools import combinations, count, permutations
 from math import gcd
 
 import pytest
@@ -39,6 +43,95 @@ def rotated_to_min(cycle):
     return (*cycle[k:], *cycle[:k])
 
 
+def degeneracy(points):
+    """The DegenerateInputError message that the hull of ``points`` must raise, or None."""
+    pts = list(dict.fromkeys(points))
+    if len(pts) < 4:
+        return "need at least 4 distinct points"
+    steps = [oracles.sub(p, pts[0]) for p in pts[1:]]
+    if all(cross(s, t) == (0, 0, 0) for s, t in combinations(steps, 2)):
+        return "points are collinear"
+    if all(det3(stu) == 0 for stu in combinations(steps, 3)):
+        return "points are coplanar, expected dimension 3"
+    return None
+
+
+def cloud_cases(cloud, planes, vertices):
+    """The cases of a full-dimensional cloud that the seeded hull test must meet."""
+    pts = list(dict.fromkeys(cloud))
+    if len(pts) < len(cloud):
+        yield "duplicates"
+    low = min(pts)
+    if any(p != low and p[:2] == low[:2] for p in pts):
+        yield "a point above or below the smallest"
+    # the face of the start's vertical plane is an edge or a facet
+    a, c, m = polytope._start(pts)
+    face = [p for p in pts if dot(m, p) == dot(m, pts[a])]
+    step = oracles.sub(pts[c], pts[a])
+    off_edge = any(cross(step, oracles.sub(p, pts[a])) != (0, 0, 0) for p in face)
+    yield "start face is a facet" if off_edge else "start face is an edge"
+    for p in pts:
+        if p not in vertices:
+            on = sum(dot(n, p) == h for n, h in planes.items())
+            yield ("point inside", "point inside a facet", "point inside an edge")[min(on, 2)]
+
+
+def seeded_cloud(rng, k):
+    """Cloud k of the seeded hull test: 4 to 9 points in {-1..1}^3 or {-2..2}^3."""
+    box = 1 + k % 2
+    cloud = [tuple(rng.randint(-box, box) for _ in range(3)) for _ in range(rng.randint(4, 9))]
+    if k % 20 == 0:  # on the plane z = x - y, or on a line in it
+        return [(x, y, x - y) for x, y, _ in cloud]
+    if k % 20 == 10:  # on a line
+        return [(t, -t, 2 * t) for t in (x + 3 * y + 9 * z for x, y, z in cloud)]
+    if k % 20 == 5:  # at most three distinct points
+        return (cloud[:3] * 3)[:len(cloud)]
+    if k % 4 == 3:
+        # a cloud of {-1..1}^3 doubled, with the midpoints of some of its
+        # pairs: points on edges, inside facets and inside the hull
+        base = cloud[: rng.randint(3, 6)]
+        base = [tuple(max(-1, min(1, x)) for x in p) for p in base]
+        mids = [tuple(map(sum, zip(*rng.sample(base, 2)))) for _ in range(9 - len(base))]
+        return [(2 * x, 2 * y, 2 * z) for x, y, z in base] + mids
+    return cloud
+
+
+def assert_hull(poly, planes, vertices):
+    """The hull against the oracle's planes and vertices, facet by facet."""
+    assert {f.normal: f.height for f in poly.facets} == planes
+    assert set(poly.vertices) == vertices
+    for f in poly.facets:
+        cyc = f.points
+        assert cyc == tuple(poly.vertices[i] for i in f.vertex_indices)
+        assert f.vertex_indices[0] == min(f.vertex_indices)
+        # the cycle is the facet's corners, each once, in convex order with a
+        # strict left turn at each corner, seen from outside
+        assert sorted(cyc) == sorted(v for v in vertices if dot(f.normal, v) == f.height)
+        for a, b, c in zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]):
+            step = oracles.sub(b, a)
+            assert det3((f.normal, step, oracles.sub(c, b))) > 0
+            assert all(det3((f.normal, step, oracles.sub(p, a))) >= 0 for p in cyc)
+        # coned from the origin, the fan of the facet has volume height *
+        # area2; from any apex below the facet, the height above the apex
+        apex = next(v for v in vertices if dot(f.normal, v) < f.height)
+        corners = [oracles.sub(p, apex) for p in cyc]
+        fan = [det3((corners[0], b, c)) for b, c in zip(corners[1:-1], corners[2:])]
+        assert sum(map(abs, fan)) == (f.height - dot(f.normal, apex)) * f.area2
+
+
+def hull_raise_sites():
+    """(function, line) of each AssertionError that the hull code raises."""
+    tree = ast.parse(inspect.getsource(polytope))
+    return {
+        (fn.name, node.lineno)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("convex_hull", "_start", "_wrap")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "AssertionError"
+    }
+
+
 class TestConvexHull:
     @pytest.mark.parametrize("name", sorted(NAMED_FANO))
     def test_matches_brute_force_planes(self, name):
@@ -48,6 +141,44 @@ class TestConvexHull:
         got = {f.normal: f.height for f in poly.facets}
         assert got == expected
         assert set(poly.vertices) == oracles.brute_vertex_set(pts)
+
+    def test_matches_oracles_on_seeded_clouds(self):
+        # 600 seeded clouds and a large shear of each: the hull must have the
+        # oracle's planes and vertices, and each facet its corners as its
+        # cycle, from its smallest index; flat and tiny clouds must raise
+        rng = random.Random(0x61F7)
+        cases = Counter()
+        for k in range(600):
+            cloud = seeded_cloud(rng, k)
+            shear = large_shear(rng)
+            moved = apply_matrix(shear, cloud)
+            message = degeneracy(cloud)
+            if message is not None:
+                cases[message] += 1
+                for pts in (cloud, moved):
+                    with pytest.raises(DegenerateInputError) as info:
+                        convex_hull(pts)
+                    assert str(info.value) == message
+                continue
+            planes, vertices = oracles.brute_facets(cloud), oracles.brute_vertex_set(cloud)
+            cases.update(cloud_cases(cloud, planes, vertices))
+            assert_hull(convex_hull(cloud), planes, vertices)
+            # a vertex of the shear of a cloud is the shear of a vertex
+            moved_vertices = set(apply_matrix(shear, vertices))
+            assert_hull(convex_hull(moved), oracles.brute_facets(moved), moved_vertices)
+        assert set(cases) == {
+            "need at least 4 distinct points",
+            "points are collinear",
+            "points are coplanar, expected dimension 3",
+            "duplicates",
+            "a point above or below the smallest",
+            "start face is an edge",
+            "start face is a facet",
+            "point inside",
+            "point inside a facet",
+            "point inside an edge",
+        }
+        assert cases["start face is an edge"] + cases["start face is a facet"] >= 400
 
     def test_pyramid_facet_shapes(self):
         poly = convex_hull(PYRAMID)
@@ -124,13 +255,14 @@ class TestConvexHull:
                     assert turn != (0, 0, 0)
 
     def test_facet_area_and_steps_match_the_polygon(self, reflexive_pool):
-        # the hull sums area2 over a facet's triangles and walks its boundary
-        # in Z^3; the polygon walks the chart points: the two paths must agree
+        # the hull reads area2 off a triangle's raw normal or a larger facet's
+        # shoelace sum, and wraps its boundary in Z^3; the polygon walks the
+        # chart points: the two paths must agree
         rng = random.Random(0xA2EA)
         pool = random.Random(0xC055).sample(reflexive_pool, 30)
         inputs = list(NAMED_FANO.values()) + pool
         inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
-        # triangulations with points inside facets and on edges
+        # clouds with points inside facets and on edges
         inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
         for pts in inputs:
             poly = convex_hull(pts)
@@ -142,29 +274,82 @@ class TestConvexHull:
                 fan = [det3((cyc[0], b, c)) for b, c in zip(cyc[1:-1], cyc[2:])]
                 assert sum(map(abs, fan)) == facet.height * facet.area2
 
-    def test_square_facet_missing_a_triangle_is_rejected(self, monkeypatch):
-        # the facet walk checks its own boundary: without one triangle of a
-        # square facet the hull raises AssertionError, and never returns
-        hull_triangles = polytope._hull_triangles
-        messages = set()
-        # the cube's top facet is two triangles; that of the hull of its 27
-        # lattice points is eight, on the nine points of the facet
-        for pts in (list(CUBE), oracles.brute_points(CUBE)):
-            top = [t for t in hull_triangles(pts) if t[0] == t[1] == 0 < t[2]]
-            assert len(top) in (2, 8)
-            for dropped in top:
-                monkeypatch.setattr(
-                    polytope, "_hull_triangles",
-                    lambda p, d=dropped: [t for t in hull_triangles(p) if t != d],
-                )
+    def test_faulty_wraps_reach_every_guard(self, monkeypatch):
+        # each fault injected into the facet wrap trips a guard of the hull,
+        # which raises AssertionError and never returns a hull; together the
+        # faults reach every AssertionError that the hull code raises
+        wrap = polytope._wrap
+
+        def on_call(k, fault):
+            calls = count(1)
+
+            def faulty(pts, u, v, m):
+                facet = wrap(pts, u, v, m)
+                return fault(pts, u, v, *facet) if next(calls) == k else facet
+            return faulty
+
+        def drop_last_corner(pts, u, v, normal, height, area2, cycle, points, others):
+            return normal, height, area2, cycle[:-1], points[:-1], others
+
+        def corner_off_cycle(pts, u, v, normal, height, area2, cycle, points, others):
+            # a corner other than u and v listed as a member off the cycle
+            j = next(j for j, r in enumerate(cycle) if r not in (u, v))
+            return (normal, height, area2, cycle[:j] + cycle[j + 1:],
+                    points[:j] + points[j + 1:], (*others, cycle[j]))
+
+        def edge_point_as_corner(pts, u, v, normal, height, area2, cycle, points, others):
+            # the midpoint of an edge of the cube, put after the first corner
+            i = next(i for i in others if sum(map(abs, pts[i])) == 2)
+            return normal, height, area2, (cycle[0], i, *cycle[1:]), points, others
+
+        def walked_backwards(pts, u, v, normal, height, area2, cycle, points, others):
+            return normal, height, area2, cycle[::-1], points[::-1], others
+
+        def walked_twice(pts, u, v, normal, height, area2, cycle, points, others):
+            return normal, height, area2, cycle * 2, points * 2, others
+
+        def pinched_cube():
+            # the cube's facets with one corner renamed as its opposite: each
+            # step is still on two facets, but the surface is pinched there
+            cube = list(CUBE)
+            a, c, _ = polytope._start(cube)
+            # corner 7 - i of CUBE is opposite corner i
+            i = next(i for i in range(8) if {a, c}.isdisjoint((i, 7 - i)))
+            facet_on = {}
+            for f in convex_hull(cube).facets:
+                cycle = tuple(i if r == 7 - i else r for r in f.vertex_indices)
+                for step in zip(cycle, cycle[1:] + cycle[:1]):
+                    facet_on[step] = (f.normal, f.height, f.area2, cycle, f.points, ())
+            return lambda pts, u, v, m: facet_on[u, v]
+
+        cube, octahedron, pyramid = list(CUBE), list(OCTAHEDRON), list(PYRAMID)
+        faults = [
+            # the plane to turn from is given inside out: nothing turns it
+            (cube, lambda pts, u, v, m: wrap(pts, u, v, tuple(-x for x in m)),
+             "vertex on the wrong side of a facet"),
+            # a square cut along its diagonal: the wrap across the diagonal
+            # starts from a plane with points on both sides of it, and its
+            # member pass finds a point above the plane it turned to
+            (cube, on_call(2, drop_last_corner), "vertex on the wrong side of a facet"),
+            # the next wrap starts at the edge point and never gets back to it
+            (oracles.brute_points(CUBE), on_call(1, edge_point_as_corner),
+             "facet boundary is not one cycle"),
+            (pyramid, on_call(1, walked_backwards), "hull edge on a single facet"),
+            (pyramid, on_call(3, corner_off_cycle), "vertex on the wrong side of a facet"),
+            (octahedron, on_call(1, walked_twice), "hull edge not on exactly two facets"),
+            (cube, pinched_cube(), "hull is not a 2-sphere"),
+        ]
+        reached = set()
+        for pts, faulty, message in faults:
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope, "_wrap", faulty)
                 with pytest.raises(AssertionError) as info:
                     convex_hull(pts)
-                messages.add(str(info.value))
-        assert messages == {
-            "hull edge on a single facet",
-            "facet boundary is not one cycle",
-            "facet boundary turns right",
-        }
+            assert str(info.value) == message
+            frame = traceback.extract_tb(info.value.__traceback__)[-1]
+            reached.add((frame.name, frame.lineno))
+        assert len(reached) == len(faults)
+        assert reached == hull_raise_sites()
 
     def test_each_edge_on_two_facets(self, reflexive_pool):
         # facet_adjacency is (left, right): the left facet's cycle steps
@@ -213,20 +398,20 @@ class TestConvexHull:
             [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)],
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
         ],
-        ids=["collinear_candidate", "coplanar_candidate"],
+        ids=["collinear_prefix", "coplanar_prefix"],
     )
-    def test_initial_simplex_skips_degenerate_candidates(self, pts):
+    def test_flat_prefix_is_read_past(self, pts):
+        # the first three, or four, points lie on a line, or in a plane
         poly = convex_hull(pts)
         assert convex_hull(poly.vertices) == poly
         assert {f.normal: f.height for f in poly.facets} == oracles.brute_facets(pts)
 
     @pytest.mark.parametrize("name", sorted(NAMED_FANO))
     def test_first_four_points_in_any_order(self, name):
-        # the first four points seed the simplex, which is oriented by
-        # swapping two of them or not: the 24 orderings take both branches
-        # and give the same facets, each with the same cycle of points.  A
-        # cycle starts at its smallest vertex index, which moves with the
-        # input order, so the cycles are compared from their smallest point.
+        # the 24 orderings of the first four points give the same facets,
+        # each with the same cycle of points.  A cycle starts at its smallest
+        # vertex index, which moves with the input order, so the cycles are
+        # compared from their smallest point.
         pts = list(NAMED_FANO[name])
 
         def facets(points):
@@ -234,12 +419,29 @@ class TestConvexHull:
             return [(f.normal, f.height, rotated_to_min(f.points)) for f in poly.facets]
 
         expected = facets(pts)
-        swapped = set()
         for head in permutations(pts[:4]):
-            ordered = list(head) + pts[4:]
-            swapped.add(polytope._initial_simplex(ordered)[1] != 1)
-            assert facets(ordered) == expected
-        assert swapped == {True, False}
+            assert facets(list(head) + pts[4:]) == expected
+
+    def test_start_is_a_hull_edge_on_a_supporting_plane(self):
+        # the start's vertical plane supports the hull at its smallest point
+        # a, and its face, an edge or a facet, steps from a to c: both kinds
+        # of face occur among the fixtures
+        kinds = set()
+        for pts in NAMED_FANO.values():
+            pts = list(pts)
+            a, c, m = polytope._start(pts)
+            assert pts[a] == min(pts) and m[2] == 0
+            height = dot(m, pts[a])
+            assert all(dot(m, p) <= height for p in pts)
+            # two facet planes of the oracle hold a -> c
+            planes = oracles.brute_facets(pts).items()
+            assert sum(dot(n, pts[a]) == dot(n, pts[c]) == h for n, h in planes) == 2
+            # no point of the face lies right of a -> c, seen from outside
+            face = [oracles.sub(p, pts[a]) for p in pts if dot(m, p) == height]
+            step = oracles.sub(pts[c], pts[a])
+            assert all(det3((m, step, p)) >= 0 for p in face)
+            kinds.add("facet" if any(cross(step, p) != (0, 0, 0) for p in face) else "edge")
+        assert kinds == {"edge", "facet"}
 
     def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
         # the hull reads no chart rows and keeps no chart; a facet's polygon
