@@ -45,6 +45,7 @@ from .polygon import (
 )
 from .polytope import (
     LatticePolytope,
+    frozen_builder,
     is_fano,
     is_reflexive,
     lattice_points,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
@@ -56,7 +57,7 @@ LOW_DEGREES = frozenset({4, 6, 8, 10, 12})
 _NODE_KINDS = frozenset({STANDARD_TRIANGLE, STANDARD_SQUARE})
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class ClassificationReport:
     """All verdicts, witnesses and invariants of one polytope.
 
@@ -137,6 +138,7 @@ def _json_list(items: tuple) -> list:
     return [list(item) for item in items]
 
 
+_report = frozen_builder(ClassificationReport)
 # (JSON key, field name) of every report field, in declaration order
 _REPORT_KEYS = tuple(
     (f.metadata.get("key", f.name), f.name) for f in fields(ClassificationReport)
@@ -268,8 +270,10 @@ def classify(
                 (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))
             ):
                 rigid_witnesses.append(fi)
-        if reflexive and facet_unitary and cls.kind != STANDARD_TRIANGLE:
-            # unitary: each step is its own primitive direction, of length 1;
+        if reflexive and facet_unitary and cls.kind not in _NODE_KINDS:
+            # a standard square has area2 2 by Pick, so it is the unit square
+            # up to AGL(2, Z), the sum of two segments: no search needed.
+            # Unitary: each step is its own primitive direction, of length 1;
             # indecomposable when only the zero and the full assignment close
             steps = [((bx - ax, by - ay, bz - az), 1)
                      for (ax, ay, az), (bx, by, bz) in zip(points, points[1:] + points[:1])]
@@ -284,7 +288,7 @@ def classify(
         rigid_face_witnesses=tuple(rigid_witnesses),
     )
     if not reflexive:
-        return ClassificationReport(**common, reflexive=False)
+        return _report(**common, reflexive=False)
 
     aft_witnesses = []
     for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
@@ -303,7 +307,7 @@ def classify(
 
     smooth = kinds == {STANDARD_TRIANGLE}
     deg = _degree(poly)
-    return ClassificationReport(
+    return _report(
         **common,
         reflexive=True,
         smooth=smooth,

@@ -19,7 +19,6 @@ sidecar file supplies the numbering explicitly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -28,6 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 from .criteria import _REPORT_KEYS, ClassificationReport
 from .polygon import PolygonClass
+from .polytope import frozen_builder
 
 
 class DatabaseFormatError(ValueError):
@@ -70,22 +70,25 @@ LIST_NAMES = tuple(name for name, _ in LIST_VERDICTS)
 UNION_KEY = "union_indec_aft"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolytopeRecord:
     id: int
     vertices: tuple[tuple[int, int, int], ...]
 
 
-def _palp_ints(tokens, index: int, what: str) -> list[int]:
+_record = frozen_builder(PolytopeRecord)
+
+
+def _palp_ints(tokens, index: int, what: str, plain: bool) -> list[int]:
     """The integers of a PALP header or matrix row; an error names the cause.
 
     An integer is [+-]?[0-9]+.  ``int`` also reads "1_0" and non-ASCII
     digits; on ASCII tokens without "_" or whitespace it takes exactly those.
+    ``plain`` says that the whole text is such, and then no row is checked.
     """
-    text = "".join(tokens)
     try:
-        if text.isascii() and "_" not in text:
-            return [int(t) for t in tokens]
+        if plain or (text := "".join(tokens)).isascii() and "_" not in text:
+            return list(map(int, tokens))
     except ValueError as exc:  # not an integer, or one over int()'s digit limit
         if not str(exc).startswith("invalid literal"):
             limit = sys.get_int_max_str_digits()
@@ -94,16 +97,18 @@ def _palp_ints(tokens, index: int, what: str) -> list[int]:
 
 
 def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
-    """Parse a PALP-style vertex stream into records.
+    """Parse a PALP-style vertex stream, a str or a text file, into records.
 
     The header may carry extra tokens after the two dimensions (they are
     ignored).  A 3 x 3 block is read column-wise; it holds three points
     either way, so it is never a 3-polytope and the hull rejects it.
     ``ids`` overrides the 1-based file-order numbering; a BOM may start any line.
+    Lines end at "\n" only, as in iterating a text stream.  The integer rule
+    of ``_palp_ints`` is decided once for the whole text.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lines = [ln for ln in (raw.removeprefix("\ufeff").strip() for raw in stream) if ln]
+    text = stream if isinstance(stream, str) else stream.read()
+    plain = text.isascii() and "_" not in text
+    lines = [ln for ln in (raw.removeprefix("\ufeff").strip() for raw in text.split("\n")) if ln]
     records = []
     pos = 0
     index = 0
@@ -113,7 +118,7 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
         pos += 1
         if len(header) < 2:
             raise DatabaseFormatError(f"record {index}: malformed header {lines[pos-1]!r}")
-        r, c = _palp_ints(header[:2], index, "header")
+        r, c = _palp_ints(header[:2], index, "header", plain)
         if r <= 0 or c <= 0:
             raise DatabaseFormatError(f"record {index}: bad shape {r}x{c}")
         if 3 not in (r, c):
@@ -127,18 +132,16 @@ def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
                 raise DatabaseFormatError(
                     f"record {index}: row {k} has {len(tokens)} entries, expected {c}"
                 )
-            rows.append(_palp_ints(tokens, index, "entry"))
+            rows.append(_palp_ints(tokens, index, "entry", plain))
         pos += r
         vertices = tuple(zip(*rows)) if r == 3 else tuple(map(tuple, rows))
-        records.append(PolytopeRecord(id=index, vertices=vertices))
+        records.append(_record(index, vertices))
     if ids is not None:
         if len(ids) != len(records):
             raise DatabaseFormatError(
                 f"sidecar holds {len(ids)} ids for {len(records)} records"
             )
-        records = [
-            PolytopeRecord(id=i, vertices=rec.vertices) for i, rec in zip(ids, records)
-        ]
+        records = [_record(i, rec.vertices) for i, rec in zip(ids, records)]
     _check_unique_ids(records)
     return records
 
@@ -190,7 +193,7 @@ def parse_json(path) -> list[PolytopeRecord]:
                 raise TypeError("coordinates must be integers")
         except (KeyError, TypeError, ValueError) as exc:
             raise DatabaseFormatError(f"record {i}: {exc}") from exc
-        records.append(PolytopeRecord(id=pid, vertices=vertices))
+        records.append(_record(pid, vertices))
     _check_unique_ids(records)
     return records
 
@@ -265,7 +268,7 @@ def _json_value(value, pad: str = "  ") -> str:
         inner, first = pad + " ", type(value[0])
         items = (
             map(int.__repr__, value) if first is int
-            else [encode_basestring_ascii(c.label()) for c in value] if first is PolygonClass
+            else [c._json_label for c in value] if first is PolygonClass
             else [_json_value(item, inner) for item in value]
         )
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"

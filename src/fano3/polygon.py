@@ -14,7 +14,8 @@ decomposition also carries the rays of its lifted cone (Altmann's).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -154,6 +155,11 @@ class PolygonClass:
         if self.kind == AM_TRIANGLE:
             return f"A{self.m}-triangle"
         return self.kind.replace("_", "-")
+
+    @cached_property
+    def _json_label(self) -> str:
+        """The label as a JSON string; classes are interned, so it is encoded once."""
+        return encode_basestring_ascii(self.label())
 
 
 def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePolygon:

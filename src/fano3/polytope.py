@@ -9,8 +9,7 @@ for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, make_dataclass
 from itertools import chain
 from math import gcd
 from operator import index
@@ -25,16 +24,38 @@ class DegenerateInputError(ValueError):
     """Raised when hull input does not span all of R^3."""
 
 
-@dataclass(frozen=True)
-class Facet:
+def frozen_builder(cls):
+    """Builds what cls(...) builds, for a frozen slots dataclass cls, with one call.
+
+    cls's ``__init__`` calls ``object.__setattr__`` once per field.  This is a
+    plain dataclass with the same slots whose instance then becomes a cls.
+    """
+    def __post_init__(self):
+        self.__class__ = cls
+
+    return make_dataclass(cls.__name__, [
+        (f.name, f.type, field(default=f.default, kw_only=f.kw_only)) for f in fields(cls)
+    ], bases=cls.__bases__, namespace={"__post_init__": __post_init__},
+        slots=True, repr=False, eq=False, match_args=False)  # only __init__ is needed
+
+
+class _PolygonSlot:
+    """Where a ``Facet`` keeps its polygon: a slots dataclass has only its fields."""
+
+    __slots__ = ("_polygon",)
+
+
+@dataclass(frozen=True, slots=True)
+class Facet(_PolygonSlot):
     """A facet with its cyclically ordered vertices and supporting hyperplane.
 
     The normal is primitive and outward: <normal, v> = height on the facet
     and < height on the rest of the polytope.  The vertex cycle runs
     counterclockwise as seen from outside, from its smallest vertex index;
     ``points`` are its vertices in Z^3.  ``area2`` is the normalized area.
-    ``polygon``, built on first access, is the facet in Z^2: the same cycle
-    read in the chart of ``chart_rows``.
+    ``polygon``, built on first access and then kept, is the facet in Z^2:
+    the same cycle read in the chart of ``chart_rows``.  A facet has slots,
+    no dict, and the hull builds it with ``frozen_builder``.
     """
 
     vertex_indices: tuple[int, ...]
@@ -43,13 +64,16 @@ class Facet:
     area2: int
     points: tuple[Vec, ...] = field(compare=False, repr=False)
 
-    @cached_property
+    @property
     def polygon(self) -> LatticePolygon:
-        r1, r2 = chart_rows(self.normal)
-        return LatticePolygon([(dot(r1, p), dot(r2, p)) for p in self.points])
+        if not hasattr(self, "_polygon"):
+            r1, r2 = chart_rows(self.normal)
+            polygon = LatticePolygon([(dot(r1, p), dot(r2, p)) for p in self.points])
+            object.__setattr__(self, "_polygon", polygon)
+        return self._polygon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePolytope:
     """A full-dimensional lattice polytope in Z^3.
 
@@ -71,10 +95,15 @@ class LatticePolytope:
         return gcd(bx - ax, by - ay, bz - az)
 
 
+_facet, _polytope = frozen_builder(Facet), frozen_builder(LatticePolytope)
+
+
 def _lattice_point(p) -> Vec:
-    """The point p of Z^3 as a tuple of ints; ValueError if it is not one."""
+    """The point p of Z^3 as a tuple of ints, p itself if it is one; else ValueError."""
     try:
         x, y, z = p
+        if type(x) is int and type(y) is int and type(z) is int and type(p) is tuple:
+            return p
         return (index(x), index(y), index(z))
     except (TypeError, ValueError):
         raise ValueError(f"not a point of Z^3: {p!r}") from None
@@ -220,65 +249,63 @@ def convex_hull(points) -> LatticePolytope:
     step whose reverse is on no facet yet, so F facets take F wraps over
     the points.  Each wrap checks that no point lies above its facet and
     reads the facet's ``area2`` and its cycle of corners, counterclockwise
-    seen from outside, in Z^3.  Facets are sorted by (normal, height); a
-    cycle starts at its smallest vertex index.  One map from each directed
-    cycle step to its facet gives the edges and their oriented facet pairs.
+    seen from outside, in Z^3.  The wrap loop maps each directed cycle step
+    to its facet, once; facets are then sorted by (normal, height), and the
+    map, read through the sort's permutation, gives the edges and their
+    oriented facet pairs.  A cycle starts at its smallest vertex index.
     Raises DegenerateInputError when the points do not affinely span R^3.
     """
-    pts: list[Vec] = list(dict.fromkeys(_lattice_point(p) for p in points))
+    pts: list[Vec] = list(dict.fromkeys(map(_lattice_point, points)))
     if len(pts) < 4:
         raise DegenerateInputError("need at least 4 distinct points")
     _check_full_dimension(pts)
 
     a, c, m = _start(pts)
     # the steps to wrap, each with the normal of the facet across it; the
-    # list grows while it is read, and a step on a facet found is skipped
-    found, seen, todo = [], set(), [(c, a, m)]
+    # list grows while it is read, and a step on a facet found is skipped;
+    # ``left`` maps each directed cycle step to its facet's index in ``found``
+    found, left, todo = [], {}, [(c, a, m)]
+    steps = 0
     for u, v, m in todo:
-        if (u, v) in seen:
+        if (u, v) in left:
             continue
+        fi = len(found)
         found.append(facet := _wrap(pts, u, v, m))
-        x = facet[3][-1]
-        for y in facet[3]:
-            seen.add((x, y))
+        cycle = facet[3]
+        steps += len(cycle)
+        x = cycle[-1]
+        for y in cycle:
+            left[x, y] = fi
             todo.append((y, x, facet[0]))
             x = y
-        if (u, v) not in seen:
+        if (u, v) not in left:
             raise AssertionError("hull edge on a single facet")
-    found.sort()
-    facets = [Facet(cycle, normal, height, area2, points)
-              for normal, height, area2, cycle, points, _ in found]
+    # the facets sorted by (normal, height): found[i] goes to place rank[i]
+    order = sorted(range(len(found)), key=found.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
 
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered
-    used = set().union(*(f.vertex_indices for f in facets))
+    used = set().union(*(f[3] for f in found))
     # a hull vertex on the plane of a facet is a corner of that facet
     if not used.isdisjoint(chain.from_iterable(f[5] for f in found)):
         raise AssertionError("vertex on the wrong side of a facet")
-    if len(used) < len(pts):
-        renumber = {old: new for new, old in enumerate(sorted(used))}
-        for fi, f in enumerate(facets):
-            facets[fi] = replace(f, vertex_indices=tuple(renumber[i] for i in f.vertex_indices))
-        pts = [pts[i] for i in renumber]
-
-    # the facet on the left of each directed edge u -> v of a facet cycle
-    left: dict[tuple[int, int], int] = {}
-    steps = 0
-    for fi, facet in enumerate(facets):
-        cycle = facet.vertex_indices
-        steps += len(cycle)
-        u = cycle[-1]
-        for v in cycle:
-            left[u, v] = fi
-            u = v
-    edges = tuple(sorted([(u, v) for u, v in left if u < v]))
+    edges = sorted([(u, v) for u, v in left if u < v])
     # the wrap loop has put the reverse of every step on a facet
-    adjacency = tuple([(left[a, b], left[b, a]) for a, b in edges])
+    adjacency = tuple([(rank[left[a, b]], rank[left[b, a]]) for a, b in edges])
+    if len(used) < len(pts):
+        # a monotone renumbering: cycle starts and the edge order stay
+        renumber = {old: new for new, old in enumerate(sorted(used))}
+        edges = [(renumber[a], renumber[b]) for a, b in edges]
+        found = [(*f[:3], tuple([renumber[i] for i in f[3]]), *f[4:]) for f in found]
+        pts = [pts[i] for i in renumber]
     if len(left) != steps or 2 * len(edges) != steps:
         raise AssertionError("hull edge not on exactly two facets")
-    if len(pts) - len(edges) + len(facets) != 2:
+    if len(pts) - len(edges) + len(found) != 2:
         raise AssertionError("hull is not a 2-sphere")
-    return LatticePolytope(tuple(pts), tuple(facets), edges, adjacency)
+    facets = tuple([_facet(cycle, normal, height, area2, points)
+                    for normal, height, area2, cycle, points, _ in map(found.__getitem__, order)])
+    return _polytope(tuple(pts), facets, tuple(edges), adjacency)
 
 
 def is_fano(poly: LatticePolytope) -> bool:

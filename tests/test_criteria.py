@@ -217,6 +217,17 @@ class TestRigidFace:
         assert heights == {1, 2}
 
 
+def _gl3_inverse(m):
+    """The inverse of a GL(3, Z) matrix: its adjugate times det = +-1."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    assert det in (1, -1)
+    return tuple(tuple(det * x for x in row) for row in adj)
+
+
 class TestIndec:
     def test_pyramid_pentagon_decomposes(self):
         assert criterion_indec(hull(PYRAMID)) == []
@@ -231,10 +242,37 @@ class TestIndec:
     def test_all_standard_triangles_empty(self):
         assert criterion_indec(hull(OCTAHEDRON)) == []
 
+    def test_standard_squares_are_decomposable(self, reflexive_pool):
+        # classify runs no summand search on a standard square: by Pick it is
+        # the unit square up to AGL(2, Z), the sum of two segments.  The
+        # oracle, which tries every summand, finds each such facet
+        # decomposable.  A sheared facet is moved back by the inverse shear
+        # first, which keeps its summands and keeps the oracle's box small
+        rng = random.Random(0x5A11)
+        inputs = list(NAMED_FANO.values()) + list(reflexive_pool)
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        moves = [identity] * len(inputs) + [large_shear(rng) for _ in inputs]
+        squares = 0
+        for pts, move in zip(inputs + inputs, moves):
+            poly = hull(apply_matrix(move, pts))
+            back = _gl3_inverse(move)
+            for facet, cls in zip(poly.facets, classify(poly).facet_classes):
+                if cls.kind == STANDARD_SQUARE:
+                    squares += 1
+                    small = apply_matrix(back, facet.points)
+                    assert apply_matrix(move, small) == facet.points
+                    # <n, M p> = <M^T n, p>: the normal moves by the transpose
+                    (normal,) = apply_matrix(tuple(zip(*move)), [facet.normal])
+                    cycle = [oracles.chart_point(normal, p) for p in small]
+                    assert oracles.polygon_class(cycle) == (STANDARD_SQUARE, None)
+                    assert oracles.is_decomposable(cycle)
+        assert squares > 100
+
     def test_polygons_built_only_for_the_minkowski_test(self, reflexive_pool, monkeypatch):
         # neither the hull nor classify builds a polygon: the Minkowski test
         # runs the summand search on the 3-D steps of the unitary facets that
-        # are not standard triangles, once per such facet
+        # are neither standard triangles nor standard squares, once per such
+        # facet
         built, searched = [], []
         post_init = fano3.polygon.LatticePolygon.__post_init__
         search = fano3.criteria.summand_assignments
@@ -255,7 +293,7 @@ class TestIndec:
             rep = classify(hull(pts))
             tested += len(searched)
             assert len(searched) == sum(
-                cls.edge_lengths[-1] == 1 and cls.kind != STANDARD_TRIANGLE
+                cls.edge_lengths[-1] == 1 and cls.kind not in (STANDARD_TRIANGLE, STANDARD_SQUARE)
                 for cls in rep.facet_classes
             )
         assert built == []

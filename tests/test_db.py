@@ -85,6 +85,97 @@ class TestParsePalp:
             db.parse_palp(PYRAMID_PALP, ids=[1, 2])
 
 
+def _palp_case(rng: random.Random):
+    """Seeded PALP text and the records it holds, as (id, vertices) pairs.
+
+    The text mixes CRLF and LF line ends, tabs, blank and whitespace-only
+    lines, byte-order marks at line starts, extra header tokens, both block
+    orientations, signs, leading zeros and 300-digit entries.  A few rows
+    put \\x0b, \\x1c or \\u2028 between two entries: whitespace to
+    ``str.split``, but no line end when lines are split on "\\n" only.
+    """
+    def entry():
+        roll = rng.random()
+        if roll < 0.05:
+            value = rng.randrange(10**299, 10**300)
+        elif roll < 0.1:
+            value = rng.randrange(-10**6, 10**6)
+        else:
+            value = rng.randrange(-3, 4)
+        token = str(value)
+        if value >= 0 and rng.random() < 0.05:
+            token = "+" + token
+        if rng.random() < 0.05:
+            token = token.replace("-", "-0") if value < 0 else "0" + token.lstrip("+")
+        return value, token
+
+    def line(tokens):
+        seps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in tokens[1:]]
+        if seps and rng.random() < 0.1:
+            seps[rng.randrange(len(seps))] = rng.choice(["\x0b", "\x1c", " \u2028"])
+        text = tokens[0] + "".join(sep + t for sep, t in zip(seps, tokens[1:]))
+        lead = "\ufeff" if rng.random() < 0.05 else rng.choice(["", "", " ", "\t"])
+        return lead + text + rng.choice(["", "", " ", "\t"]) + rng.choice(["\n", "\r\n"])
+
+    text, records = "", []
+    for index in range(1, rng.randrange(1, 8)):
+        n = rng.randrange(3, 9)
+        r, c = (3, n) if rng.random() < 0.5 else (n, 3)
+        header = [str(r), str(c)] + rng.choice([[], ["M:12", "8"], ["N:5", "F:6", "x"]])
+        text += line(header)
+        values = []
+        for _ in range(r):
+            while rng.random() < 0.1:
+                text += rng.choice(["\n", "\r\n", "  \n", "\t\r\n"])
+            row = [entry() for _ in range(c)]
+            values.append([v for v, _ in row])
+            text += line([t for _, t in row])
+        vertices = tuple(zip(*values)) if r == 3 else tuple(map(tuple, values))
+        records.append((index, vertices))
+    return text, records
+
+
+class TestPalpReader:
+    def test_seeded_texts(self, tmp_path):
+        rng = random.Random(0x9A19)
+        kinds = set()
+        for case in range(300):
+            text, expected = _palp_case(rng)
+            kinds.add(text.isascii())
+            kinds.update(c for c in ("\x0b", "\x1c", "\u2028", "\r\n", "\ufeff", "M:") if c in text)
+            kinds.update(("300 digits",) if any(
+                len(str(abs(x))) == 300 for _, vs in expected for v in vs for x in v) else ())
+            got = [(rec.id, rec.vertices) for rec in db.parse_palp(text)]
+            assert got == expected, case
+            # a text file is read as the same text, its CRLF ends translated
+            path = tmp_path / "case.palp"
+            path.write_bytes(text.encode())
+            with open(path, encoding="utf-8") as fh:
+                assert [(rec.id, rec.vertices) for rec in db.parse_palp(fh)] == expected
+            assert [(rec.id, rec.vertices) for rec in db.read_records(str(path))] == expected
+        assert kinds == {True, False, "\x0b", "\x1c", "\u2028", "\r\n", "\ufeff", "M:", "300 digits"}
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x1c", "\u2028"])
+    def test_line_ends_only_at_newline(self, sep):
+        # str.splitlines would end a line at each of these and cut the row
+        text = f"3 4\n1 0 0 -1\n0 1{sep}0 -1\n0 0 1 -1\n"
+        (record,) = db.parse_palp(text)
+        assert record.vertices == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+
+    @pytest.mark.parametrize("prefix", ["", "\ufeff"], ids=["ascii", "not_ascii"])
+    def test_errors_name_their_cause_on_either_path(self, prefix):
+        # the integer rule is decided once per text; on ASCII text int() reads
+        # the rows, and _palp_ints still names each error
+        with pytest.raises(db.DatabaseFormatError, match="record 1: non-integer entry"):
+            db.parse_palp(prefix + "3 4\n1 0 0 0\n0 1 0 0\n0 0 1 x\n")
+        with pytest.raises(db.DatabaseFormatError, match="record 1: non-integer header"):
+            db.parse_palp(prefix + "3 4.0\n1 0 0 0\n0 1 0 0\n0 0 1 0\n")
+        with pytest.raises(db.DatabaseFormatError, match=r"over the \d+-digit limit"):
+            db.parse_palp(prefix + "3 4\n1 0 0 0\n0 1 0 0\n0 0 1 " + "7" * 5000 + "\n")
+        with pytest.raises(db.DatabaseFormatError, match="record 1: non-integer entry"):
+            db.parse_palp(prefix + "3 4\n1 0 0 0\n0 1 0 0\n0 0 1 1_0\n")
+
+
 class TestJsonRecords:
     def test_round_trip(self, tmp_path):
         records = [
