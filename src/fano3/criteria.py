@@ -7,14 +7,15 @@ facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
 ``classify`` is the one source of every verdict.  It reads the face
-lattice that ``polytope.convex_hull`` built once: one pass over the edges
-tests whether each edge's endpoints extend to a basis of Z^3, one pass
-over the facets classifies each facet from its cycle and area and collects
-the rigid-face and indecomposability witnesses, the latter by the summand
-search on the facet's steps in Z^3 (no polygon is built), and one pass over
-the facet pairs of the edges collects the AFT witnesses.  The degree is
-one more pass over the edges, and the Hilbert coefficients follow from it
-in closed form.
+lattice that ``polytope.convex_hull`` built once: one pass over the facets
+classifies each facet from its cycle and area and collects the rigid-face
+and indecomposability witnesses, the latter by the summand search on the
+facet's steps in Z^3 (no polygon is built), and one pass over the facet
+pairs of the edges collects the AFT witnesses.  Only on a non-reflexive
+polytope does a pass over the edges test whether their endpoints extend
+to a basis of Z^3; on a reflexive one that holds exactly for the unitary
+edges.  The degree is one more pass over the edges, and the Hilbert
+coefficients follow from it in closed form.
 
 The report is the API: ``ClassificationReport`` defines every field.  The
 four ``criterion_*`` functions each check a guard and return one field, for
@@ -80,9 +81,11 @@ class ClassificationReport:
     - ``totaro_rigid``: every facet is a triangle, and every edge has length
       1 and an integral functional equal to 1 at both endpoints a, b.  Both
       hold exactly when a x b is primitive: (a, b) extends to a basis.
+      On a reflexive polytope the edges of length 1 are exactly those.
     - ``rigid_face_witnesses``: triangular facets whose vertices do not
-      extend to a basis of Z^3 while the endpoints of each edge do.  The
-      cone over one is rigid yet singular, which obstructs smoothing.
+      extend to a basis of Z^3 while the endpoints of each edge do (on a
+      reflexive polytope: the non-standard triangles with unit edges).
+      The cone over one is rigid yet singular, which obstructs smoothing.
     - ``indec_witnesses``: facets with unitary edges that are Minkowski
       indecomposable and not standard triangles.  The cone over one is an
       isolated singularity with no smoothing direction at all.
@@ -238,9 +241,12 @@ def classify(
     # Fano already, so reflexive exactly when every facet is at height 1
     reflexive = all(facet.height == 1 for facet in facets)
 
-    # a, b extend to a basis of Z^3 exactly when the 2x2 minors of (a, b),
-    # the entries of a x b, are coprime; such an edge is also unitary
-    basis = {
+    # a, b extend to a basis of Z^3 exactly when the entries of a x b are
+    # coprime; such an edge is also unitary.  On a reflexive polytope the
+    # converse holds, so no set is built: a facet through the edge has a
+    # normal n with n.a = n.b = 1, so Z^3 = Z a + n^perp, and Z^3 / (Z a + Z b)
+    # = n^perp / Z (b - a) is free exactly when b - a is primitive
+    basis = None if reflexive else {
         (a, b) for a, b in poly.edges if gcd(*cross(vertices[a], vertices[b])) == 1
     }
 
@@ -264,9 +270,9 @@ def classify(
         unitary = unitary and facet_unitary
         if len(cycle) != 3:
             triangles = False
-        elif facet.height * facet.area2 != 1:  # |det| of its vertices
+        elif facet.height * facet.area2 != 1 and facet_unitary:  # |det| of its vertices
             i, j, k = cycle
-            if all(
+            if reflexive or all(
                 (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))
             ):
                 rigid_witnesses.append(fi)
@@ -283,7 +289,7 @@ def classify(
     common = dict(
         polytope_id=polytope_id,
         facet_classes=tuple(classes),
-        totaro_rigid=triangles and len(basis) == len(poly.edges),
+        totaro_rigid=triangles and unitary and (reflexive or len(basis) == len(poly.edges)),
         rigid_face_obstruction=bool(rigid_witnesses),
         rigid_face_witnesses=tuple(rigid_witnesses),
     )

@@ -10,7 +10,6 @@ for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, make_dataclass
-from itertools import chain
 from math import gcd
 from operator import index
 
@@ -22,6 +21,21 @@ from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's 
 
 class DegenerateInputError(ValueError):
     """Raised when hull input does not span all of R^3."""
+
+
+# _PAIRS[i][j] is (i, j), one shared tuple for each i, j < 16: enough for the
+# edges and facet pairs of any reflexive 3-polytope (at most 14 vertices, 14 facets)
+_PAIRS = tuple(tuple((i, j) for j in range(16)) for i in range(16))
+
+
+class _FreshPairs:
+    """_PAIRS for indices of any size: ``_FreshPairs()[i][j]`` is a new tuple (i, j)."""
+
+    def __init__(self, i=None):
+        self.i = i
+
+    def __getitem__(self, j):
+        return _FreshPairs(j) if self.i is None else (self.i, j)
 
 
 def frozen_builder(cls):
@@ -81,7 +95,7 @@ class LatticePolytope:
     are index pairs (a, b) with a < b, sorted; ``facet_adjacency[i]`` is the
     pair (left, right) of facets meeting along ``edges[i]`` = (a, b): the
     cycle of the left facet steps from a to b, that of the right facet from
-    b to a.
+    b to a.  ``convex_hull`` shares pairs of small indices between polytopes.
     """
 
     vertices: tuple[Vec, ...]
@@ -104,6 +118,8 @@ def _lattice_point(p) -> Vec:
         x, y, z = p
         if type(x) is int and type(y) is int and type(z) is int and type(p) is tuple:
             return p
+        if bool in (type(x), type(y), type(z)):  # the JSON reader rejects them too
+            raise ValueError
         return (index(x), index(y), index(z))
     except (TypeError, ValueError):
         raise ValueError(f"not a point of Z^3: {p!r}") from None
@@ -251,8 +267,11 @@ def convex_hull(points) -> LatticePolytope:
     reads the facet's ``area2`` and its cycle of corners, counterclockwise
     seen from outside, in Z^3.  The wrap loop maps each directed cycle step
     to its facet, once; facets are then sorted by (normal, height), and the
-    map, read through the sort's permutation, gives the edges and their
-    oriented facet pairs.  A cycle starts at its smallest vertex index.
+    map's keys give the edges, and its values, read through the sort's
+    permutation, their oriented facet pairs.  The edges of at most 16 points,
+    as of a reflexive polytope's vertices, and the facet pairs of at most 16
+    facets are shared tuples of the module's pair table, others new ones.
+    A cycle starts at its smallest vertex index.
     Raises DegenerateInputError when the points do not affinely span R^3.
     """
     pts: list[Vec] = list(dict.fromkeys(map(_lattice_point, points)))
@@ -263,40 +282,45 @@ def convex_hull(points) -> LatticePolytope:
     a, c, m = _start(pts)
     # the steps to wrap, each with the normal of the facet across it; the
     # list grows while it is read, and a step on a facet found is skipped;
-    # ``left`` maps each directed cycle step to its facet's index in ``found``
+    # ``left`` maps each directed cycle step, a pair of ``pairs``, to its
+    # facet's index in ``found``
+    pairs = _PAIRS if len(pts) <= len(_PAIRS) else _FreshPairs()
     found, left, todo = [], {}, [(c, a, m)]
-    steps = 0
+    used, off, steps = set(), (), 0
     for u, v, m in todo:
         if (u, v) in left:
             continue
         fi = len(found)
         found.append(facet := _wrap(pts, u, v, m))
-        cycle = facet[3]
+        normal, _, _, cycle, _, others = facet
+        used.update(cycle)
+        off += others
         steps += len(cycle)
         x = cycle[-1]
         for y in cycle:
-            left[x, y] = fi
-            todo.append((y, x, facet[0]))
+            left[pairs[x][y]] = fi
+            todo.append((y, x, normal))
             x = y
         if (u, v) not in left:
             raise AssertionError("hull edge on a single facet")
     # the facets sorted by (normal, height): found[i] goes to place rank[i]
     order = sorted(range(len(found)), key=found.__getitem__)
-    rank = {old: new for new, old in enumerate(order)}
+    rank = sorted(range(len(found)), key=order.__getitem__)
 
+    # a hull vertex on the plane of a facet is a corner of that facet; the
+    # usual input has no member off a cycle, and then nothing to check
+    if off and not used.isdisjoint(off):
+        raise AssertionError("vertex on the wrong side of a facet")
+    edges = sorted([step for step in left if step[0] < step[1]])
+    # the wrap loop has put the reverse of every step on a facet
+    facet_pairs = _PAIRS if len(found) <= len(_PAIRS) else _FreshPairs()
+    adjacency = tuple([facet_pairs[rank[left[a, b]]][rank[left[b, a]]] for a, b in edges])
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered
-    used = set().union(*(f[3] for f in found))
-    # a hull vertex on the plane of a facet is a corner of that facet
-    if not used.isdisjoint(chain.from_iterable(f[5] for f in found)):
-        raise AssertionError("vertex on the wrong side of a facet")
-    edges = sorted([(u, v) for u, v in left if u < v])
-    # the wrap loop has put the reverse of every step on a facet
-    adjacency = tuple([(rank[left[a, b]], rank[left[b, a]]) for a, b in edges])
     if len(used) < len(pts):
         # a monotone renumbering: cycle starts and the edge order stay
         renumber = {old: new for new, old in enumerate(sorted(used))}
-        edges = [(renumber[a], renumber[b]) for a, b in edges]
+        edges = [pairs[renumber[a]][renumber[b]] for a, b in edges]
         found = [(*f[:3], tuple([renumber[i] for i in f[3]]), *f[4:]) for f in found]
         pts = [pts[i] for i in renumber]
     if len(left) != steps or 2 * len(edges) != steps:

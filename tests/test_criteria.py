@@ -183,7 +183,9 @@ class TestRigidFace:
                     assert solve_height_one(a, b) is not None
 
     def test_each_edge_tested_once(self, reflexive_pool, monkeypatch):
-        # one classify call tests each edge once, in edge order, for the
+        # on a reflexive polytope an edge extends to a basis exactly when it
+        # is unitary, so classify tests no edge; on other Fano input one
+        # classify call tests each edge once, in edge order, for the
         # rigid-face and Totaro verdicts together
         calls = []
 
@@ -193,7 +195,11 @@ class TestRigidFace:
 
         monkeypatch.setattr(fano3.criteria, "cross", counted)
         pool = random.Random(0x3D6E).sample(reflexive_pool, 30)
-        for pts in list(NAMED_FANO.values()) + pool + [NOT_REFLEXIVE]:
+        for pts in list(NAMED_FANO.values()) + pool:
+            calls.clear()
+            classify(hull(pts))
+            assert calls == []
+        for pts in (NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE):
             poly = hull(pts)
             calls.clear()
             classify(poly)

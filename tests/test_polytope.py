@@ -1,11 +1,12 @@
 import ast
 import hashlib
 import inspect
+import pickle
 import random
 import traceback
 from collections import Counter
 from dataclasses import fields
-from itertools import combinations, count, permutations
+from itertools import combinations, count, permutations, product
 from math import gcd
 
 import pytest
@@ -179,6 +180,42 @@ class TestConvexHull:
             "point inside an edge",
         }
         assert cases["start face is an edge"] + cases["start face is a facet"] >= 400
+
+    def test_past_the_pair_table(self):
+        # the edges of at most 16 points and the facet pairs of at most 16
+        # facets share the tuples of a table; past it the hull builds new
+        # ones.  More than 16 vertices (a prism over a lattice 10-gon), more
+        # than 16 facets (a bipyramid over it) and more than 16 input points,
+        # most of them not vertices (the corners of {-2, 2}^3 with points
+        # inside, inside a facet and inside an edge): each against the
+        # oracles, its edges and facet pairs against the steps of its cycles,
+        # and through a pickle round trip, as ``--jobs`` sends polytopes
+        # between processes
+        decagon = ((0, 0), (1, 0), (3, 1), (4, 2), (5, 4), (5, 5), (4, 5), (2, 4), (1, 3), (0, 1))
+        prism = [(x, y, z) for x, y in decagon for z in (0, 1)]
+        bipyramid = [(x, y, 0) for x, y in decagon] + [(2, 2, 1), (3, 3, -1)]
+        inside = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                  (0, 0, -1), (1, 1, 1), (-1, -1, 1), (1, -1, -1)]
+        box = list(product((-2, 2), repeat=3)) + inside + [(2, 0, 0), (2, 2, 0)]
+        assert len(box) > 16
+        clouds = [(prism, 20, 12), (bipyramid, 12, 20), (box, 8, 6), (OCTAHEDRON, 6, 8)]
+        for pts, v, f in clouds:
+            poly = convex_hull(pts)
+            assert (len(poly.vertices), len(poly.facets)) == (v, f)
+            assert_hull(poly, oracles.brute_facets(pts), oracles.brute_vertex_set(pts))
+            left = {}
+            for fi, facet in enumerate(poly.facets):
+                cyc = facet.vertex_indices
+                left.update(dict.fromkeys(zip(cyc, cyc[1:] + cyc[:1]), fi))
+            assert poly.edges == tuple(sorted(step for step in left if step[0] < step[1]))
+            assert poly.facet_adjacency == tuple((left[a, b], left[b, a]) for a, b in poly.edges)
+            assert pickle.loads(pickle.dumps(poly)) == poly
+            # within the bound two hulls share every pair
+            again = convex_hull(pts)
+            shared = [p is q for p, q in zip(poly.edges, again.edges)]
+            assert shared == [len(pts) <= 16] * len(shared)
+            shared = [p is q for p, q in zip(poly.facet_adjacency, again.facet_adjacency)]
+            assert shared == [f <= 16] * len(shared)
 
     def test_pyramid_facet_shapes(self):
         poly = convex_hull(PYRAMID)
@@ -375,9 +412,11 @@ class TestConvexHull:
                     assert cyc[(cyc.index(u) + 1) % len(cyc)] == v
 
     @pytest.mark.parametrize(
-        "point", [(0.5, 0, 0), ("1", 0, 0), (1, 0), (1, 0, 0, 0)], ids=repr
+        "point", [(0.5, 0, 0), ("1", 0, 0), (1, 0), (1, 0, 0, 0), (True, 0, 0), (0, 1, False)],
+        ids=repr,
     )
     def test_non_lattice_point_rejected(self, point):
+        # a bool is no coordinate, as the JSON reader also says
         with pytest.raises(ValueError, match="not a point of Z\\^3") as info:
             convex_hull(list(TETRAHEDRON) + [point])
         assert not isinstance(info.value, DegenerateInputError)
