@@ -19,7 +19,6 @@ from .polygon import (
     MinkowskiDecomposition,
     PolygonClass,
     classify_polygon,
-    edge_lattice_lengths,
     enumerate_summand_vectors,
     facet_to_polygon,
     is_minkowski_indecomposable,
@@ -54,7 +53,6 @@ __all__ = [
     "criterion_indec",
     "criterion_rigid_face",
     "criterion_totaro_rigid",
-    "edge_lattice_lengths",
     "enumerate_summand_vectors",
     "facet_to_polygon",
     "is_fano",

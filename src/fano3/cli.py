@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import db
 from .criteria import ClassificationReport, classify
-from .polygon import maximal_decompositions
+from .polygon import facet_to_polygon, maximal_decompositions
 from .polytope import convex_hull
 
 
@@ -175,7 +175,7 @@ def cmd_inspect(args) -> int:
         cls = report.facet_classes[fi]
         print(f"  facet {fi}: {cls.label()}  normal {facet.normal} height {facet.height}")
         print(f"    cycle: {[poly.vertices[i] for i in facet.vertex_indices]}")
-        decs = maximal_decompositions(facet.polygon)
+        decs = maximal_decompositions(facet_to_polygon(poly, fi))
         for di, dec in enumerate(decs):
             parts = [list(s.vertices) for s in dec.summands]
             print(f"    maximal decomposition {di}: {parts}")

@@ -8,9 +8,10 @@ facet by facet.
 
 ``classify`` is the one source of every verdict.  It reads the face
 lattice that ``polytope.convex_hull`` built once: one pass over the facets
-classifies each facet from its cycle and area and collects the rigid-face
-and indecomposability witnesses, the latter by the summand search on the
-facet's steps in Z^3 (no polygon is built), and one pass over the facet
+walks each cycle once through ``poly.vertices``, classifies the facet from
+its steps and area and collects the rigid-face and indecomposability
+witnesses, the latter by the summand search on the same steps in Z^3 (no
+polygon is built), and one pass over the facet
 pairs of the edges collects the AFT witnesses.  Only on a non-reflexive
 polytope does a pass over the edges test whether their endpoints extend
 to a basis of Z^3; on a reflexive one that holds exactly for the unitary
@@ -256,12 +257,16 @@ def classify(
     rigid_witnesses = []
     indec_witnesses = []
     for fi, facet in enumerate(facets):
-        # a unimodular chart keeps lattice lengths: these are the polygon's
-        cycle, points = facet.vertex_indices, facet.points
-        lengths = []
-        ux, uy, uz = points[-1]
-        for x, y, z in points:
-            lengths.append(gcd(x - ux, y - uy, z - uz))
+        # one walk round the cycle in Z^3, from its last vertex, gives the
+        # steps and their lattice lengths, which a unimodular chart keeps
+        cycle = facet.vertex_indices
+        steps, lengths = [], []
+        ux, uy, uz = vertices[cycle[-1]]
+        for i in cycle:
+            x, y, z = vertices[i]
+            dx, dy, dz = x - ux, y - uy, z - uz
+            steps.append((dx, dy, dz))
+            lengths.append(gcd(dx, dy, dz))
             ux, uy, uz = x, y, z
         cls = classify_counts(len(cycle), tuple(sorted(lengths)), facet.area2)
         classes.append(cls)
@@ -280,10 +285,9 @@ def classify(
             # a standard square has area2 2 by Pick, so it is the unit square
             # up to AGL(2, Z), the sum of two segments: no search needed.
             # Unitary: each step is its own primitive direction, of length 1;
-            # indecomposable when only the zero and the full assignment close
-            steps = [((bx - ax, by - ay, bz - az), 1)
-                     for (ax, ay, az), (bx, by, bz) in zip(points, points[1:] + points[:1])]
-            if len(summand_assignments(steps)) <= 2:
+            # indecomposable when only the zero and the full assignment close,
+            # from whichever vertex the steps start
+            if len(summand_assignments([(step, 1) for step in steps])) <= 2:
                 indec_witnesses.append(fi)
 
     common = dict(

@@ -1,9 +1,10 @@
 """Lattice polygons in Z^2 and the Minkowski structure of polytope facets.
 
 A facet's polygon is its vertex cycle read in Z^2 through the unimodular
-chart of ``chart_rows``, built when it is first asked for.  Every predicate
-here (classification, edge lengths, decomposability) is invariant under
-such charts, and the summand search also runs on a facet's steps in Z^3.
+chart of ``chart_rows``; ``facet_to_polygon`` charts it on each call, and
+no facet keeps it.  Every predicate here (classification, edge lengths,
+decomposability) is invariant under such charts, and the summand search
+also runs on a facet's steps in Z^3.
 
 Minkowski summands of a convex lattice polygon are enumerated by the edge
 vector method: a lattice summand is exactly a choice of sub-lengths of the
@@ -20,6 +21,8 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .intlinalg import (
+    chart_rows,
+    dot,
     inverse_unimodular,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     matvec,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     smith_normal_form,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
@@ -165,26 +168,30 @@ class PolygonClass:
 def facet_to_polygon(polytope: "LatticePolytope", facet_index: int) -> LatticePolygon:
     """A facet of a 3-polytope flattened to Z^2.
 
-    This is the facet's ``polygon``, charted on first access; its vertices
-    follow the facet's vertex cycle, from its smallest vertex index.  The
+    Each call reads the facet's vertex cycle from ``polytope.vertices`` and
+    maps it through the chart of ``chart_rows``, so it builds a new polygon;
+    its vertices follow the cycle, from its smallest vertex index.  The
     result is unique up to AGL(2, Z), which is all that the classification
     and decomposition predicates can see.
     """
     if not 0 <= facet_index < len(polytope.facets):
         raise IndexError(f"facet index {facet_index} out of range")
-    return polytope.facets[facet_index].polygon
-
-
-def edge_lattice_lengths(poly: LatticePolygon) -> tuple[int, ...]:
-    """Multiset of lattice lengths of the edges, sorted ascending."""
-    if len(poly.vertices) == 2:
-        return (poly.edges[0][1],)
-    return tuple(sorted([length for _, length in poly.edges]))
+    facet, vertices = polytope.facets[facet_index], polytope.vertices
+    r1, r2 = chart_rows(facet.normal)
+    points = [vertices[i] for i in facet.vertex_indices]
+    return LatticePolygon([(dot(r1, p), dot(r2, p)) for p in points])
 
 
 def classify_polygon(poly: LatticePolygon) -> PolygonClass:
-    """Classify a polygon as standard triangle, standard square, A_m or other."""
-    return classify_counts(len(poly.vertices), edge_lattice_lengths(poly), poly.area2)
+    """Classify a polygon as standard triangle, standard square, A_m or other.
+
+    Its ``edge_lengths`` are the sorted lattice lengths of the edges; a
+    segment, walked there and back, has one edge of one length.
+    """
+    lengths = sorted([length for _, length in poly.edges])
+    if len(poly.vertices) == 2:
+        lengths = lengths[:1]
+    return classify_counts(len(poly.vertices), tuple(lengths), poly.area2)
 
 
 @cache

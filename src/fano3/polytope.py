@@ -3,8 +3,8 @@
 All geometric predicates are exact integer determinants; there is no
 floating point and no epsilon anywhere.  Inputs are small (a few dozen
 points), so the hull is built by gift wrapping in Z^3, one whole facet per
-wrap, and a facet's lattice polygon is charted only when something asks
-for it.
+wrap.  A facet is its vertex cycle, plane and area, all read in Z^3; its
+polygon in Z^2 is ``polygon.facet_to_polygon``, charted afresh on each call.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from math import gcd
 from operator import index
 
 from ._kernels import count_box_points
-from .intlinalg import Vec, chart_rows, det3, dot
-from .polygon import LatticePolygon
+from .intlinalg import Vec, det3
 from .polygon import convex_hull_2d  # noqa: F401 - unused; kept so perfbench's tracer rebinds it
 
 
@@ -53,38 +52,22 @@ def frozen_builder(cls):
         slots=True, repr=False, eq=False, match_args=False)  # only __init__ is needed
 
 
-class _PolygonSlot:
-    """Where a ``Facet`` keeps its polygon: a slots dataclass has only its fields."""
-
-    __slots__ = ("_polygon",)
-
-
 @dataclass(frozen=True, slots=True)
-class Facet(_PolygonSlot):
+class Facet:
     """A facet with its cyclically ordered vertices and supporting hyperplane.
 
     The normal is primitive and outward: <normal, v> = height on the facet
-    and < height on the rest of the polytope.  The vertex cycle runs
-    counterclockwise as seen from outside, from its smallest vertex index;
-    ``points`` are its vertices in Z^3.  ``area2`` is the normalized area.
-    ``polygon``, built on first access and then kept, is the facet in Z^2:
-    the same cycle read in the chart of ``chart_rows``.  A facet has slots,
-    no dict, and the hull builds it with ``frozen_builder``.
+    and < height on the rest of the polytope.  The vertex cycle, indices
+    into the polytope's ``vertices``, runs counterclockwise as seen from
+    outside, from its smallest vertex index.  ``area2`` is the normalized
+    area.  The facet in Z^2 is ``polygon.facet_to_polygon(poly, i)``.  A
+    facet has slots, no dict, and the hull builds it with ``frozen_builder``.
     """
 
     vertex_indices: tuple[int, ...]
     normal: Vec
     height: int
     area2: int
-    points: tuple[Vec, ...] = field(compare=False, repr=False)
-
-    @property
-    def polygon(self) -> LatticePolygon:
-        if not hasattr(self, "_polygon"):
-            r1, r2 = chart_rows(self.normal)
-            polygon = LatticePolygon([(dot(r1, p), dot(r2, p)) for p in self.points])
-            object.__setattr__(self, "_polygon", polygon)
-        return self._polygon
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +87,8 @@ class LatticePolytope:
     facet_adjacency: tuple[tuple[int, int], ...]
 
     def edge_lattice_length(self, edge_index: int) -> int:
+        if not 0 <= edge_index < len(self.edges):
+            raise IndexError(f"edge index {edge_index} out of range")
         a, b = self.edges[edge_index]
         (ax, ay, az), (bx, by, bz) = self.vertices[a], self.vertices[b]
         return gcd(bx - ax, by - ay, bz - az)
@@ -186,9 +171,8 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
     that has no point above it.  A second pass collects the members of that
     plane and rejects any point above it.  Three members are the triangle
     (u, v, q); more are wrapped inside the plane from v back to u, farthest
-    point on ties.  Returns (normal, height, area2, cycle, points, others):
-    the cycle of corners from its smallest index, their points, and the
-    members off the cycle.
+    point on ties.  Returns (normal, height, area2, cycle, others): the
+    cycle of corners from its smallest index and the members off the cycle.
     """
     ux, uy, uz = pts[u]
     vx, vy, vz = pts[v]
@@ -222,7 +206,7 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
         # the primitive one, g its normalized area
         q = sum(members) - u - v
         cycle = (u, v, q) if u < v and u < q else (v, q, u) if v < q else (q, u, v)
-        return normal, height, g, cycle, tuple([pts[r] for r in cycle]), ()
+        return normal, height, g, cycle, ()
 
     # read the plane in two coordinates: drop one, k, where the normal is
     # nonzero, and order the other two so that a left turn seen from outside
@@ -254,7 +238,7 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
     others = tuple(set(members).difference(cycle)) if len(members) > len(cycle) else ()
     first = cycle.index(min(cycle))
     cycle = (*cycle[first:], *cycle[:first])
-    return normal, height, area * g // abs(k), cycle, tuple([pts[r] for r in cycle]), others
+    return normal, height, area * g // abs(k), cycle, others
 
 
 def convex_hull(points) -> LatticePolytope:
@@ -292,7 +276,7 @@ def convex_hull(points) -> LatticePolytope:
             continue
         fi = len(found)
         found.append(facet := _wrap(pts, u, v, m))
-        normal, _, _, cycle, _, others = facet
+        normal, _, _, cycle, others = facet
         used.update(cycle)
         off += others
         steps += len(cycle)
@@ -321,14 +305,14 @@ def convex_hull(points) -> LatticePolytope:
         # a monotone renumbering: cycle starts and the edge order stay
         renumber = {old: new for new, old in enumerate(sorted(used))}
         edges = [pairs[renumber[a]][renumber[b]] for a, b in edges]
-        found = [(*f[:3], tuple([renumber[i] for i in f[3]]), *f[4:]) for f in found]
+        found = [(*f[:3], tuple([renumber[i] for i in f[3]]), f[4]) for f in found]
         pts = [pts[i] for i in renumber]
     if len(left) != steps or 2 * len(edges) != steps:
         raise AssertionError("hull edge not on exactly two facets")
     if len(pts) - len(edges) + len(found) != 2:
         raise AssertionError("hull is not a 2-sphere")
-    facets = tuple([_facet(cycle, normal, height, area2, points)
-                    for normal, height, area2, cycle, points, _ in map(found.__getitem__, order)])
+    facets = tuple([_facet(cycle, normal, height, area2)
+                    for normal, height, area2, cycle, _ in map(found.__getitem__, order)])
     return _polytope(tuple(pts), facets, tuple(edges), adjacency)
 
 

@@ -13,6 +13,8 @@ column Hermite form.  Slow, but exact, which is the point.
 
 from __future__ import annotations
 
+import re
+import sys
 from itertools import combinations, product
 from math import gcd
 
@@ -533,3 +535,63 @@ def reference_report(points):
         hilbert=tuple(lattice_counts(polar, 3)),
     )
     return ref
+
+
+_PALP_INTEGER = re.compile("[+-]?[0-9]+")  # [0-9], not \d: ASCII digits only
+
+
+def _palp_integer(token):
+    """The value of a PALP integer, an optional sign and ASCII digits; else None.
+
+    It has at most ``sys.get_int_max_str_digits()`` digits, Python's limit
+    on converting a string to an int (4300 unless set otherwise).
+    """
+    if not _PALP_INTEGER.fullmatch(token):
+        return None
+    digits = token.lstrip("+-")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and len(digits) > limit:
+        return None
+    # int() on chunks of ASCII digits, each far below its digit limit
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k:k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if token[0] == "-" else value
+
+
+def read_palp(text):
+    """The records of a PALP text as (id, vertices) pairs, or None if it is malformed.
+
+    Written from the README's format section: a block is a header line ``r
+    c`` (extra header tokens ignored) followed by an r x c integer matrix,
+    one row per line; the vertices are the columns when r = 3 and the rows
+    when c = 3.  Lines end at "\\n"; a byte-order mark may start any line
+    and is dropped; tokens are the runs of non-whitespace characters, and a
+    line without tokens is skipped.  Records are numbered 1, 2, ... in order.
+    """
+    lines = []
+    for line in text.split("\n"):
+        if line.startswith("\ufeff"):
+            line = line[1:]
+        tokens = re.findall(r"\S+", line)  # \s: what str.isspace() calls whitespace
+        if tokens:
+            lines.append(tokens)
+    records, pos = [], 0
+    while pos < len(lines):
+        header = lines[pos]
+        if len(header) < 2:
+            return None
+        r, c = _palp_integer(header[0]), _palp_integer(header[1])
+        if r is None or c is None or r < 1 or c < 1 or 3 not in (r, c):
+            return None
+        rows = lines[pos + 1:pos + 1 + r]
+        if len(rows) < r or any(len(row) != c for row in rows):
+            return None
+        matrix = [[_palp_integer(t) for t in row] for row in rows]
+        if any(x is None for row in matrix for x in row):
+            return None
+        vertices = tuple(zip(*matrix)) if r == 3 else tuple(tuple(row) for row in matrix)
+        records.append((len(records) + 1, vertices))
+        pos += 1 + r
+    return records

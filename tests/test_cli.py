@@ -201,8 +201,8 @@ class TestClassifyCommand:
         wrap = fano3.polytope._wrap
 
         def backwards_wrap(pts, u, v, m):
-            normal, height, area2, cycle, points, others = wrap(pts, u, v, m)
-            return normal, height, area2, cycle[::-1], points[::-1], others
+            normal, height, area2, cycle, others = wrap(pts, u, v, m)
+            return normal, height, area2, cycle[::-1], others
 
         monkeypatch.setattr(fano3.polytope, "_wrap", backwards_wrap)
         path = tmp_path / "cube.json"

@@ -44,7 +44,6 @@ from fano3.polygon import (
     STANDARD_TRIANGLE,
     classify_counts,
     classify_polygon,
-    edge_lattice_lengths,
     facet_to_polygon,
 )
 from fano3.polytope import convex_hull
@@ -215,10 +214,10 @@ class TestRigidFace:
         heights = set()
         for pts in inputs:
             poly = hull(pts)
-            for facet in poly.facets:
+            for fi, facet in enumerate(poly.facets):
                 if len(facet.vertex_indices) == 3:
                     verts = tuple(poly.vertices[i] for i in facet.vertex_indices)
-                    assert abs(det3(verts)) == facet.height * facet.polygon.area2
+                    assert abs(det3(verts)) == facet.height * facet_to_polygon(poly, fi).area2
                     heights.add(facet.height)
         assert heights == {1, 2}
 
@@ -265,8 +264,9 @@ class TestIndec:
             for facet, cls in zip(poly.facets, classify(poly).facet_classes):
                 if cls.kind == STANDARD_SQUARE:
                     squares += 1
-                    small = apply_matrix(back, facet.points)
-                    assert apply_matrix(move, small) == facet.points
+                    points = tuple(poly.vertices[i] for i in facet.vertex_indices)
+                    small = apply_matrix(back, points)
+                    assert apply_matrix(move, small) == points
                     # <n, M p> = <M^T n, p>: the normal moves by the transpose
                     (normal,) = apply_matrix(tuple(zip(*move)), [facet.normal])
                     cycle = [oracles.chart_point(normal, p) for p in small]
@@ -484,9 +484,9 @@ class TestClassify:
         shared = {}
         for pts in inputs:
             poly = hull(pts)
-            for facet, cls in zip(poly.facets, classify(poly).facet_classes):
-                polygon = facet.polygon
-                key = (len(polygon.vertices), edge_lattice_lengths(polygon), polygon.area2)
+            for fi, cls in enumerate(classify(poly).facet_classes):
+                polygon = facet_to_polygon(poly, fi)
+                key = (len(polygon.vertices), classify_polygon(polygon).edge_lengths, polygon.area2)
                 assert cls == classify_counts.__wrapped__(*key)
                 assert shared.setdefault(key, cls) is cls
         assert classify_counts(*key) is cls

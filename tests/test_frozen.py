@@ -20,7 +20,7 @@ from fano3.polytope import Facet, LatticePolytope, convex_hull
 TETRAHEDRON_PALP = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
 
 FIELDS = {
-    Facet: ("vertex_indices", "normal", "height", "area2", "points"),
+    Facet: ("vertex_indices", "normal", "height", "area2"),
     LatticePolytope: ("vertices", "facets", "edges", "facet_adjacency"),
     ClassificationReport: (
         "polytope_id", "reflexive", "facet_classes", "smooth", "isolated_singular",
@@ -85,15 +85,11 @@ def test_replace_and_pickle(value):
 
 
 def test_field_flags_are_kept():
-    facet = {f.name: f for f in fields(Facet)}
-    assert not facet["points"].compare and not facet["points"].repr
+    # every field of a facet takes part in equality and repr
+    assert all(f.compare and f.repr for f in fields(Facet))
     report = fields(ClassificationReport)
     assert all(f.kw_only for f in report)
     assert report[0].metadata["key"] == "id"
-    # the points do not take part in equality, as at the frozen __init__
-    poly = convex_hull(TETRAHEDRON)
-    facet = poly.facets[0]
-    assert replace(facet, points=()) == facet
 
 
 def test_report_defaults():
@@ -105,7 +101,7 @@ def test_report_defaults():
     assert report.smooth is None and report.indec_witnesses == () and report.hilbert is None
 
 
-def test_facet_polygon_built_on_first_access_then_kept(monkeypatch):
+def test_facet_to_polygon_builds_a_polygon_per_call(monkeypatch):
     built = []
     post_init = fano3.polygon.LatticePolygon.__post_init__
 
@@ -117,14 +113,15 @@ def test_facet_polygon_built_on_first_access_then_kept(monkeypatch):
     poly = convex_hull(PYRAMID)
     assert built == []
     facet = poly.facets[0]
-    polygon = facet.polygon
-    assert built == [polygon]
-    assert facet.polygon is polygon
-    assert built == [polygon]
-    # the kept polygon is no field: equality, hash and pickle ignore it
+    before = (facet, hash(facet), pickle.dumps(facet))
+    first = fano3.polygon.facet_to_polygon(poly, 0)
+    assert built == [first]
+    second = fano3.polygon.facet_to_polygon(poly, 0)
+    assert built == [first, second] and second == first and second is not first
+    # charting leaves the facet as it was: equality, hash and pickle
+    assert (facet, hash(facet), pickle.dumps(facet)) == before
     assert facet == by_init(facet) and hash(facet) == hash(by_init(facet))
-    back = pickle.loads(pickle.dumps(facet))
-    assert back == facet and back.polygon == polygon and back.polygon is not polygon
+    assert pickle.loads(pickle.dumps(facet)) == facet
 
 
 def test_reprs_as_at_the_frozen_init():

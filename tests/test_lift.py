@@ -1,6 +1,11 @@
 import oracles
 from conftest import NAMED_FANO, PENTAGON
-from fano3.polygon import LatticePolygon, is_minkowski_indecomposable, maximal_decompositions
+from fano3.polygon import (
+    LatticePolygon,
+    facet_to_polygon,
+    is_minkowski_indecomposable,
+    maximal_decompositions,
+)
 from fano3.polytope import convex_hull
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
@@ -36,8 +41,9 @@ class TestTrivialLift:
         # whose lifted cone is the cone over F x {1}
         checked = 0
         for verts in NAMED_FANO.values():
-            for facet in convex_hull(verts).facets:
-                poly = facet.polygon
+            hull = convex_hull(verts)
+            for fi in range(len(hull.facets)):
+                poly = facet_to_polygon(hull, fi)
                 if is_minkowski_indecomposable(poly):
                     (dec,) = maximal_decompositions(poly)
                     assert dec.lifted_rays == tuple((x, y, 1) for x, y in poly.vertices)

@@ -23,7 +23,6 @@ from fano3.polygon import (
     LatticePolygon,
     classify_polygon,
     convex_hull_2d,
-    edge_lattice_lengths,
     enumerate_summand_vectors,
     facet_to_polygon,
     is_minkowski_indecomposable,
@@ -92,7 +91,7 @@ class TestPolygonBasics:
     def test_segment_edges(self):
         seg = LatticePolygon(((0, 0), (2, 2)))
         assert seg.edges == (((1, 1), 2), ((-1, -1), 2))
-        assert edge_lattice_lengths(seg) == (2,)
+        assert classify_polygon(seg).edge_lengths == (2,)
         assert LatticePolygon(((2, -1),)).edges == ()
 
     def test_closed_cycle(self):
@@ -132,16 +131,21 @@ class TestPolygonBasics:
 
 class TestEdgeLengths:
     def test_pentagon_unitary(self):
-        assert edge_lattice_lengths(pentagon()) == (1, 1, 1, 1, 1)
+        assert classify_polygon(pentagon()).edge_lengths == (1, 1, 1, 1, 1)
 
     def test_am_triangle_lengths(self):
-        assert edge_lattice_lengths(LatticePolygon(am_triangle(2))) == (1, 1, 3)
+        assert classify_polygon(LatticePolygon(am_triangle(2))).edge_lengths == (1, 1, 3)
 
     def test_unit_square(self):
-        assert edge_lattice_lengths(LatticePolygon(UNIT_SQUARE)) == (1, 1, 1, 1)
+        assert classify_polygon(LatticePolygon(UNIT_SQUARE)).edge_lengths == (1, 1, 1, 1)
 
     def test_am_not_unitary(self):
-        assert edge_lattice_lengths(LatticePolygon(am_triangle(1)))[-1] == 2
+        assert classify_polygon(LatticePolygon(am_triangle(1))).edge_lengths[-1] == 2
+
+    def test_point_and_segment(self):
+        # a segment is walked there and back, but has one edge
+        assert classify_polygon(LatticePolygon(((2, -1),))).edge_lengths == ()
+        assert classify_polygon(LatticePolygon(((0, 0), (3, 0)))).edge_lengths == (3,)
 
 
 class TestClassify:
@@ -195,7 +199,7 @@ class TestClassify:
             # both orientations give the same area, edge lengths and class
             ccw, cw = LatticePolygon(cycle), LatticePolygon(cycle[::-1])
             assert ccw.area2 == cw.area2 == area2
-            assert edge_lattice_lengths(ccw) == edge_lattice_lengths(cw)
+            assert classify_polygon(ccw).edge_lengths == classify_polygon(cw).edge_lengths
             cls = classify_polygon(ccw)
             assert classify_polygon(cw) == cls
             if len(cycle) < 3:
@@ -272,13 +276,15 @@ class TestSummandVectors:
         inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
         decomposable = 0
         for pts in inputs:
-            for facet in convex_hull(pts).facets:
+            poly = convex_hull(pts)
+            for fi, facet in enumerate(poly.facets):
+                points = [poly.vertices[i] for i in facet.vertex_indices]
                 steps = []
-                for a, b in zip(facet.points, facet.points[1:] + facet.points[:1]):
+                for a, b in zip(points, points[1:] + points[:1]):
                     d = oracles.sub(b, a)
                     steps.append((tuple(x // gcd(*d) for x in d), gcd(*d)))
                 got = summand_assignments(steps)
-                assert got == enumerate_summand_vectors(facet.polygon)
+                assert got == enumerate_summand_vectors(facet_to_polygon(poly, fi))
                 decomposable += len(got) > 2
         assert decomposable > 100
 
@@ -327,7 +333,7 @@ class TestMaximalDecompositions:
         polys = [LatticePolygon(verts) for verts in named]
         for pts in reflexive_pool[:30]:
             poly = convex_hull(pts)
-            polys += [f.polygon for p in (poly, polar(poly)) for f in p.facets]
+            polys += [facet_to_polygon(p, i) for p in (poly, polar(poly)) for i in range(len(p.facets))]
         return polys
 
     def test_summands_reconstruct_polygon(self, polygons):
@@ -366,7 +372,7 @@ class TestMaximalDecompositions:
         # the search frees what it builds by reference counting alone, so the
         # cycle collector finds nothing after it
         hulls = [convex_hull(pts) for pts in list(NAMED_FANO.values()) + reflexive_pool[:20]]
-        polygons = [f.polygon for poly in hulls for f in poly.facets]
+        polygons = [facet_to_polygon(poly, i) for poly in hulls for i in range(len(poly.facets))]
         gc.collect()
         gc.disable()
         try:

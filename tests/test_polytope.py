@@ -21,9 +21,11 @@ from conftest import (
     apply_matrix,
     large_shear,
 )
+import fano3.intlinalg
+import fano3.polygon
 from fano3 import polytope
 from fano3.intlinalg import chart_rows, cross, det3, dot
-from fano3.polygon import convex_hull_2d
+from fano3.polygon import convex_hull_2d, facet_to_polygon
 from fano3.polytope import (
     DegenerateInputError,
     Facet,
@@ -102,8 +104,7 @@ def assert_hull(poly, planes, vertices):
     assert {f.normal: f.height for f in poly.facets} == planes
     assert set(poly.vertices) == vertices
     for f in poly.facets:
-        cyc = f.points
-        assert cyc == tuple(poly.vertices[i] for i in f.vertex_indices)
+        cyc = tuple(poly.vertices[i] for i in f.vertex_indices)
         assert f.vertex_indices[0] == min(f.vertex_indices)
         # the cycle is the facet's corners, each once, in convex order with a
         # strict left turn at each corner, seen from outside
@@ -273,18 +274,19 @@ class TestConvexHull:
             assert [f.normal for f in full.facets] == [f.normal for f in fixture.facets]
             polys.append(full)
         for poly in polys:
-            for facet in poly.facets:
+            for fi, facet in enumerate(poly.facets):
                 cyc = [poly.vertices[i] for i in facet.vertex_indices]
+                polygon = facet_to_polygon(poly, fi)
                 lifted = [
                     oracles.chart_lift(facet.normal, facet.height, q)
-                    for q in facet.polygon.vertices
+                    for q in polygon.vertices
                 ]
                 assert lifted == cyc
                 # the polygon is its own 2-D hull up to where the cycle
                 # starts, which is at the smallest vertex index
                 assert facet.vertex_indices[0] == min(facet.vertex_indices)
-                hull_2d = convex_hull_2d(facet.polygon.vertices)
-                assert rotated_to_min(facet.polygon.vertices) == hull_2d.vertices
+                hull_2d = convex_hull_2d(polygon.vertices)
+                assert rotated_to_min(polygon.vertices) == hull_2d.vertices
                 for k in range(len(cyc)):
                     a, b, c = cyc[k], cyc[(k + 1) % len(cyc)], cyc[(k + 2) % len(cyc)]
                     turn = cross(oracles.sub(b, a), oracles.sub(c, b))
@@ -303,11 +305,12 @@ class TestConvexHull:
         inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
         for pts in inputs:
             poly = convex_hull(pts)
-            for facet in poly.facets:
+            for fi, facet in enumerate(poly.facets):
                 cyc = [poly.vertices[i] for i in facet.vertex_indices]
-                assert facet.area2 == facet.polygon.area2
+                polygon = facet_to_polygon(poly, fi)
+                assert facet.area2 == polygon.area2
                 steps = [gcd(*oracles.sub(b, a)) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-                assert steps == [length for _, length in facet.polygon.edges]
+                assert steps == [length for _, length in polygon.edges]
                 fan = [det3((cyc[0], b, c)) for b, c in zip(cyc[1:-1], cyc[2:])]
                 assert sum(map(abs, fan)) == facet.height * facet.area2
 
@@ -325,25 +328,24 @@ class TestConvexHull:
                 return fault(pts, u, v, *facet) if next(calls) == k else facet
             return faulty
 
-        def drop_last_corner(pts, u, v, normal, height, area2, cycle, points, others):
-            return normal, height, area2, cycle[:-1], points[:-1], others
+        def drop_last_corner(pts, u, v, normal, height, area2, cycle, others):
+            return normal, height, area2, cycle[:-1], others
 
-        def corner_off_cycle(pts, u, v, normal, height, area2, cycle, points, others):
+        def corner_off_cycle(pts, u, v, normal, height, area2, cycle, others):
             # a corner other than u and v listed as a member off the cycle
             j = next(j for j, r in enumerate(cycle) if r not in (u, v))
-            return (normal, height, area2, cycle[:j] + cycle[j + 1:],
-                    points[:j] + points[j + 1:], (*others, cycle[j]))
+            return normal, height, area2, cycle[:j] + cycle[j + 1:], (*others, cycle[j])
 
-        def edge_point_as_corner(pts, u, v, normal, height, area2, cycle, points, others):
+        def edge_point_as_corner(pts, u, v, normal, height, area2, cycle, others):
             # the midpoint of an edge of the cube, put after the first corner
             i = next(i for i in others if sum(map(abs, pts[i])) == 2)
-            return normal, height, area2, (cycle[0], i, *cycle[1:]), points, others
+            return normal, height, area2, (cycle[0], i, *cycle[1:]), others
 
-        def walked_backwards(pts, u, v, normal, height, area2, cycle, points, others):
-            return normal, height, area2, cycle[::-1], points[::-1], others
+        def walked_backwards(pts, u, v, normal, height, area2, cycle, others):
+            return normal, height, area2, cycle[::-1], others
 
-        def walked_twice(pts, u, v, normal, height, area2, cycle, points, others):
-            return normal, height, area2, cycle * 2, points * 2, others
+        def walked_twice(pts, u, v, normal, height, area2, cycle, others):
+            return normal, height, area2, cycle * 2, others
 
         def pinched_cube():
             # the cube's facets with one corner renamed as its opposite: each
@@ -356,7 +358,7 @@ class TestConvexHull:
             for f in convex_hull(cube).facets:
                 cycle = tuple(i if r == 7 - i else r for r in f.vertex_indices)
                 for step in zip(cycle, cycle[1:] + cycle[:1]):
-                    facet_on[step] = (f.normal, f.height, f.area2, cycle, f.points, ())
+                    facet_on[step] = (f.normal, f.height, f.area2, cycle, ())
             return lambda pts, u, v, m: facet_on[u, v]
 
         cube, octahedron, pyramid = list(CUBE), list(OCTAHEDRON), list(PYRAMID)
@@ -455,7 +457,10 @@ class TestConvexHull:
 
         def facets(points):
             poly = convex_hull(points)
-            return [(f.normal, f.height, rotated_to_min(f.points)) for f in poly.facets]
+            return [
+                (f.normal, f.height, rotated_to_min([poly.vertices[i] for i in f.vertex_indices]))
+                for f in poly.facets
+            ]
 
         expected = facets(pts)
         for head in permutations(pts[:4]):
@@ -483,23 +488,39 @@ class TestConvexHull:
         assert kinds == {"edge", "facet"}
 
     def test_charts_computed_on_demand(self, reflexive_pool, monkeypatch):
-        # the hull reads no chart rows and keeps no chart; a facet's polygon
-        # reads its two chart rows once, on first access
+        # the hull reads no chart rows and keeps no chart; each call of
+        # facet_to_polygon reads the facet's two chart rows once
         assert "chart" not in {f.name for f in fields(Facet)}
+        assert not hasattr(polytope, "chart_rows")
         calls = []
 
         def counting_chart_rows(n):
             calls.append(n)
             return chart_rows(n)
 
-        monkeypatch.setattr(polytope, "chart_rows", counting_chart_rows)
+        monkeypatch.setattr(fano3.intlinalg, "chart_rows", counting_chart_rows)
+        monkeypatch.setattr(fano3.polygon, "chart_rows", counting_chart_rows)
         for pts in list(NAMED_FANO.values()) + reflexive_pool[:10]:
             calls.clear()
             poly = convex_hull(pts)
             assert calls == []
-            for facet in poly.facets:
-                assert facet.polygon is facet.polygon
-            assert calls == [f.normal for f in poly.facets]
+            for fi in range(len(poly.facets)):
+                assert facet_to_polygon(poly, fi) == facet_to_polygon(poly, fi)
+            assert calls == [f.normal for f in poly.facets for _ in range(2)]
+
+    def test_edge_lattice_length_index_range(self):
+        # as facet_to_polygon, an index outside 0..len(edges) - 1 is an
+        # IndexError; a negative one does not count from the end
+        poly = convex_hull(OCTAHEDRON)
+        assert len(poly.edges) == 12
+        for i in (0, 11):
+            a, b = poly.edges[i]
+            assert poly.edge_lattice_length(i) == gcd(*oracles.sub(poly.vertices[b], poly.vertices[a]))
+        for i in (-1, 12):
+            with pytest.raises(IndexError, match=f"^edge index {i} out of range$"):
+                poly.edge_lattice_length(i)
+        with pytest.raises(IndexError, match="^facet index -1 out of range$"):
+            facet_to_polygon(poly, -1)
 
     def test_cycle_starts_survive_moves(self, reflexive_pool):
         # a move that keeps the vertex order keeps every facet's vertex
@@ -526,8 +547,9 @@ class TestConvexHull:
         inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
         digest = hashlib.sha256()
         for pts in inputs:
-            for f in convex_hull(pts).facets:
-                key = (f.vertex_indices, f.normal, f.height, f.area2, f.polygon.vertices)
+            poly = convex_hull(pts)
+            for i, f in enumerate(poly.facets):
+                key = (f.vertex_indices, f.normal, f.height, f.area2, facet_to_polygon(poly, i).vertices)
                 digest.update(repr(key).encode())
         assert digest.hexdigest() == (
             "9260449425dff42ef9b55cf133f1fdb4afeb03750f67dd0e0079209492022301"

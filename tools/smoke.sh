@@ -17,8 +17,8 @@ $FANO3 lists smoke.palp --out lists.json
 cat lists.json
 $FANO3 verify smoke.palp --expected lists.json
 $FANO3 inspect smoke.palp --id 1
-# --lift decomposes each facet polygon, which the hull builds only
-# when it is asked for
+# --lift also prints the lifted rays of each decomposition of each facet
+# polygon, which inspect charts with facet_to_polygon
 $FANO3 inspect smoke.palp --id 1 --lift
 printf '{"L_smooth": [2], "L_isol": [1], "L_nodes": [], "L_low": [], "L_indec": [], "L_aft": []}\n' > expected.json
 $FANO3 verify smoke.palp --expected expected.json
