@@ -13,6 +13,7 @@ process, as one ``error: `` line (``polytope N: hull: ...`` for a guard).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -193,6 +194,7 @@ def _common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
         parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
+@functools.cache  # once per process: parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fano3",

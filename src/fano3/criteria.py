@@ -232,15 +232,15 @@ def classify(
     Reflexive-only criteria come back as None on a non-reflexive Fano
     polytope.  The Hilbert coefficients h_0..h_{m_max} come from the degree
     by the closed form of ``hilbert_from_degree``.  The report is
-    deterministic for a given input.
+    deterministic for a given input.  Only a non-reflexive polytope runs
+    the Fano test: height 1 on every facet implies Fano (``is_reflexive``).
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    if not is_fano(poly):
+    reflexive = is_reflexive(poly)
+    if not reflexive and not is_fano(poly):
         raise ValueError("classification requires a Fano polytope")
     vertices, facets = poly.vertices, poly.facets
-    # Fano already, so reflexive exactly when every facet is at height 1
-    reflexive = all(facet.height == 1 for facet in facets)
 
     # a, b extend to a basis of Z^3 exactly when the entries of a x b are
     # coprime; such an edge is also unitary.  On a reflexive polytope the

@@ -97,17 +97,19 @@ def _palp_ints(tokens, index: int, what: str, plain: bool) -> list[int]:
 
 
 def parse_palp(stream, ids: list[int] | None = None) -> list[PolytopeRecord]:
-    """Parse a PALP-style vertex stream, a str or a text file, into records.
+    r"""Parse a PALP-style vertex stream, a str or a text file, into records.
 
     The header may carry extra tokens after the two dimensions (they are
     ignored).  A 3 x 3 block is read column-wise; it holds three points
     either way, so it is never a 3-polytope and the hull rejects it.
     ``ids`` overrides the 1-based file-order numbering; a BOM may start any line.
-    Lines end at "\n" only, as in iterating a text stream.  The integer rule
-    of ``_palp_ints`` is decided once for the whole text.
+    Lines end at "\n", "\r\n" or "\r", as in a text file read with universal
+    newlines, and at nothing else.  The integer rule of ``_palp_ints`` is
+    decided once for the whole text.
     """
     text = stream if isinstance(stream, str) else stream.read()
     plain = text.isascii() and "_" not in text
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [ln for ln in (raw.removeprefix("\ufeff").strip() for raw in text.split("\n")) if ln]
     records = []
     pos = 0
@@ -179,21 +181,21 @@ def parse_json(path) -> list[PolytopeRecord]:
         raise DatabaseFormatError("top level must be a JSON array of records")
     records = []
     for i, entry in enumerate(data):
-        try:
-            if not isinstance(entry, dict):
-                raise TypeError("must be a JSON object")
-            pid = entry["id"]
-            verts = entry["vertices"]
-            if not _is_int(pid):
-                raise TypeError("id must be an integer")
-            vertices = tuple(tuple(v) for v in verts)
-            if not vertices or any(len(v) != 3 for v in vertices):
-                raise ValueError("vertices must be nonempty 3-vectors")
-            if not all(_is_int(c) for v in vertices for c in v):
-                raise TypeError("coordinates must be integers")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatabaseFormatError(f"record {i}: {exc}") from exc
-        records.append(_record(pid, vertices))
+        if not isinstance(entry, dict):
+            cause = "must be a JSON object"
+        elif "id" not in entry or "vertices" not in entry:
+            cause = "needs an id and vertices"
+        elif not _is_int(pid := entry["id"]):
+            cause = "id must be an integer"
+        elif not (isinstance(verts := entry["vertices"], list) and verts
+                  and all(isinstance(v, list) and len(v) == 3 for v in verts)):
+            cause = "vertices must be nonempty 3-vectors"
+        elif not all(_is_int(c) for v in verts for c in v):
+            cause = "coordinates must be integers"
+        else:
+            records.append(_record(pid, tuple(map(tuple, verts))))
+            continue
+        raise DatabaseFormatError(f"record {i}: {cause}")
     _check_unique_ids(records)
     return records
 

@@ -110,24 +110,6 @@ def _lattice_point(p) -> Vec:
         raise ValueError(f"not a point of Z^3: {p!r}") from None
 
 
-def _check_full_dimension(pts: list[Vec]) -> None:
-    """Raise DegenerateInputError, naming the line or plane, if pts do not span R^3."""
-    # ``convex_hull`` passes at least 4 distinct points, so p0 != p1
-    (x0, y0, z0), (x1, y1, z1) = pts[0], pts[1]
-    ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
-    # the first point p off the line through p0 and p1: n = u x (p - p0) != 0
-    for x, y, z in pts:
-        x, y, z = x - x0, y - y0, z - z0
-        nx, ny, nz = uy * z - uz * y, uz * x - ux * z, ux * y - uy * x
-        if nx or ny or nz:
-            break
-    else:
-        raise DegenerateInputError("points are collinear")
-    offset = nx * x0 + ny * y0 + nz * z0
-    if all(nx * x + ny * y + nz * z == offset for x, y, z in pts):
-        raise DegenerateInputError("points are coplanar, expected dimension 3")
-
-
 def _start(pts: list[Vec]) -> tuple[int, int, Vec]:
     """A hull edge a -> c and the outward normal m of a supporting plane through it.
 
@@ -173,6 +155,8 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
     (u, v, q); more are wrapped inside the plane from v back to u, farthest
     point on ties.  Returns (normal, height, area2, cycle, others): the
     cycle of corners from its smallest index and the members off the cycle.
+    No point above the plane of m reversed means flat input, which
+    DegenerateInputError names, or, with a point below, an m not outward.
     """
     ux, uy, uz = pts[u]
     vx, vy, vz = pts[v]
@@ -189,9 +173,14 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
             h = nx * ux + ny * uy + nz * uz
             turned = True
     if not turned:
-        # no point lies below the plane of m: were m outward, all would lie
-        # on it, but the points span R^3
-        raise AssertionError("vertex on the wrong side of a facet")
+        # full-dimensional input never gets here
+        if any(nx * x + ny * y + nz * z < h for x, y, z in pts):
+            raise AssertionError("vertex on the wrong side of a facet")
+        for x, y, z in pts:
+            x, y, z = x - ux, y - uy, z - uz
+            if ey * z - ez * y or ez * x - ex * z or ex * y - ey * x:
+                raise DegenerateInputError("points are coplanar, expected dimension 3")
+        raise DegenerateInputError("points are collinear")
     members = []
     for i, (x, y, z) in enumerate(pts):
         value = nx * x + ny * y + nz * z
@@ -256,12 +245,13 @@ def convex_hull(points) -> LatticePolytope:
     as of a reflexive polytope's vertices, and the facet pairs of at most 16
     facets are shared tuples of the module's pair table, others new ones.
     A cycle starts at its smallest vertex index.
-    Raises DegenerateInputError when the points do not affinely span R^3.
+    Raises DegenerateInputError when the points do not affinely span R^3;
+    the wrap whose starting plane holds them all finds it: the first on a
+    line or a vertical plane, the second on any other plane.
     """
     pts: list[Vec] = list(dict.fromkeys(map(_lattice_point, points)))
     if len(pts) < 4:
         raise DegenerateInputError("need at least 4 distinct points")
-    _check_full_dimension(pts)
 
     a, c, m = _start(pts)
     # the steps to wrap, each with the normal of the facet across it; the
@@ -324,8 +314,13 @@ def is_fano(poly: LatticePolytope) -> bool:
 
 
 def is_reflexive(poly: LatticePolytope) -> bool:
-    """Fano with all facet hyperplanes at lattice height 1."""
-    return is_fano(poly) and all(f.height == 1 for f in poly.facets)
+    """Every facet hyperplane at lattice height 1; such a polytope is Fano.
+
+    Height 1 > 0 on every facet puts the origin strictly inside, and each
+    vertex v lies on a facet plane <n, v> = 1 with n integral, so a common
+    divisor of v's coordinates divides 1: v is primitive.
+    """
+    return all(f.height == 1 for f in poly.facets)
 
 
 def polar(poly: LatticePolytope) -> LatticePolytope:

@@ -13,6 +13,7 @@ column Hermite form.  Slow, but exact, which is the point.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from itertools import combinations, product
@@ -566,12 +567,13 @@ def read_palp(text):
     Written from the README's format section: a block is a header line ``r
     c`` (extra header tokens ignored) followed by an r x c integer matrix,
     one row per line; the vertices are the columns when r = 3 and the rows
-    when c = 3.  Lines end at "\\n"; a byte-order mark may start any line
-    and is dropped; tokens are the runs of non-whitespace characters, and a
-    line without tokens is skipped.  Records are numbered 1, 2, ... in order.
+    when c = 3.  Lines end at "\\n", "\\r\\n" or "\\r", and at no other
+    character; a byte-order mark may start any line and is dropped; tokens
+    are the runs of non-whitespace characters, and a line without tokens is
+    skipped.  Records are numbered 1, 2, ... in order.
     """
     lines = []
-    for line in text.split("\n"):
+    for line in re.split("\r\n|\r|\n", text):
         if line.startswith("\ufeff"):
             line = line[1:]
         tokens = re.findall(r"\S+", line)  # \s: what str.isspace() calls whitespace
@@ -595,3 +597,51 @@ def read_palp(text):
         records.append((len(records) + 1, vertices))
         pos += 1 + r
     return records
+
+
+def json_record_fault(entry):
+    """What breaks the README's rules in one record of a JSON database, or None.
+
+    "object" (not a JSON object), "keys" (no "id" or no "vertices" key),
+    "id" (not a JSON integer), "vertices" (not a nonempty array of arrays of
+    three) or "coordinates" (one not a JSON integer), the first that applies
+    in this order.  ``json`` reads JSON integers as ints; a float, a string or
+    a bool is none.
+    """
+    if type(entry) is not dict:
+        return "object"
+    if "id" not in entry or "vertices" not in entry:
+        return "keys"
+    if type(entry["id"]) is not int:
+        return "id"
+    vertices = entry["vertices"]
+    if type(vertices) is not list or not vertices:
+        return "vertices"
+    if any(type(v) is not list or len(v) != 3 for v in vertices):
+        return "vertices"
+    if any(type(x) is not int for v in vertices for x in v):
+        return "coordinates"
+    return None
+
+
+def load_json_db(text):
+    """The JSON value of a database text, after an optional leading byte-order
+    mark, or None if it is not JSON."""
+    try:
+        return json.loads(text[1:] if text.startswith("\ufeff") else text)
+    except (ValueError, RecursionError):  # not JSON, an int over the digit limit, nesting
+        return None
+
+
+def read_json_db(text):
+    """The records of a JSON database text as (id, vertices) pairs, or None if it is malformed.
+
+    Written from the README's format section: the text, read by
+    ``load_json_db``, is a JSON array of records without a
+    ``json_record_fault``, and their ids are distinct; other keys are ignored.
+    """
+    data = load_json_db(text)
+    if type(data) is not list or any(map(json_record_fault, data)):
+        return None
+    records = [(entry["id"], tuple(map(tuple, entry["vertices"]))) for entry in data]
+    return records if len({pid for pid, _ in records}) == len(records) else None

@@ -17,7 +17,7 @@ from conftest import (
     TETRAHEDRON,
 )
 import fano3
-from fano3 import cli
+from fano3 import cli, db
 from fano3.cli import main
 
 FIXTURE_DB = [
@@ -271,6 +271,23 @@ class TestListsCommand:
         assert payload["L_smooth"] == [9]
         assert payload["L_isol"] == [7]
 
+    def test_carriage_returns_end_palp_lines(self, tmp_path, capsys):
+        # a lone "\r" ends a line in a str as in a file, so parse_palp and
+        # the command line read one record from it, the record of "\n"
+        text = "3 4\r1 0 0 -1\r0 1 0 -1\r0 0 1 -1\r"
+        vertices = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+        assert [(rec.id, rec.vertices) for rec in db.parse_palp(text)] == [(1, vertices)]
+        outputs = []
+        for name, ending in (("cr.palp", "\r"), ("lf.palp", "\n")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\r", ending).encode())
+            assert main(["lists", str(path)]) == 0
+            assert main(["inspect", str(path), "--id", "1"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0].out.split("\npolytope 1\n")[0])["L_smooth"] == [1]
+        assert "".join(f"    {v}\n" for v in vertices) in outputs[0].out
+
     def test_bool_ids_are_input_errors(self, tmp_path, capsys):
         verts = [list(v) for v in OCTAHEDRON]
         as_json = tmp_path / "bool.json"
@@ -310,6 +327,22 @@ class TestListsCommand:
         assert all(payload[name] == [] for name in
                    ("L_smooth", "L_isol", "L_nodes", "L_low", "L_indec", "L_aft"))
         assert payload["union_indec_aft"] == 0
+
+
+def test_main_calls_share_no_state(db_path, tmp_path, capsys):
+    # the parser is built once per process; an option of one call must not
+    # carry over to the next
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "lists.json"
+    assert main(["lists", str(db_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["lists", str(db_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+    report = tmp_path / "report"
+    assert main(["classify", str(db_path), "--out", str(report), "--report", "csv"]) == 0
+    assert report.read_text().startswith("id,")
+    assert main(["classify", str(db_path), "--out", str(report)]) == 0
+    assert [row["id"] for row in json.loads(report.read_text())] == list(range(1, 8))
 
 
 class TestVerifyCommand:

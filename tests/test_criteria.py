@@ -454,8 +454,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("pts", [PYRAMID, NOT_REFLEXIVE], ids=["reflexive", "fano"])
     def test_runs_one_fano_test(self, pts, monkeypatch):
-        # classify calls criteria's import of is_fano, and is_reflexive (also
-        # behind the degree's guard) calls polytope's; both are counted
+        # height 1 on every facet implies Fano, so classify calls criteria's
+        # import of is_fano only on a non-reflexive polytope; polytope's is
+        # counted too, in case is_reflexive calls it
         poly = hull(pts)
         calls = []
         for module in (fano3.criteria, fano3.polytope):
@@ -464,7 +465,23 @@ class TestClassify:
                 module, "is_fano", lambda p, fano=fano: calls.append(p) or fano(p)
             )
         classify(poly)
-        assert len(calls) == 1
+        assert len(calls) == (0 if pts is PYRAMID else 1)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)),
+            tuple((x + 2, y, z) for x, y, z in OCTAHEDRON),
+            ((2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+            tuple((2 * x, 2 * y, 2 * z) for x, y, z in OCTAHEDRON),
+        ],
+        ids=["origin_on_facet", "origin_outside", "imprimitive_vertex", "twice_octahedron"],
+    )
+    def test_non_fano_input_is_named(self, pts):
+        # not reflexive, and then the Fano test says why classify refuses
+        with pytest.raises(ValueError) as info:
+            classify(hull(pts))
+        assert str(info.value) == "classification requires a Fano polytope"
 
     def test_report_ignores_non_vertex_points(self, reflexive_pool):
         # the hull of all lattice points renumbers its vertices; the report,

@@ -89,10 +89,9 @@ def _cases(rng: random.Random):
 
 def _file_text(text: str) -> str:
     """The text as the CLI reads it from a UTF-8 file: a leading byte-order
-    mark dropped, and "\\r\\n" and "\\r" read as "\\n", as Python's text
-    files do."""
-    text = text[1:] if text.startswith("\ufeff") else text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    mark dropped.  Its "\\r\\n" and "\\r" read as "\\n", as the reader
+    reads them in a str too."""
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def test_parse_palp_agrees_with_the_oracle(tmp_path, capsys):

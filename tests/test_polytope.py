@@ -14,7 +14,9 @@ import pytest
 import oracles
 from conftest import (
     CUBE,
+    FANO_UNITARY_NOT_HEIGHT_ONE,
     NAMED_FANO,
+    NOT_REFLEXIVE,
     OCTAHEDRON,
     PYRAMID,
     TETRAHEDRON,
@@ -434,6 +436,40 @@ class TestConvexHull:
             convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)])
 
     @pytest.mark.parametrize(
+        "pts, wraps, message",
+        [
+            ([(1, 2, 0), (1, 2, 5), (1, 2, -3), (1, 2, 1)], 1, "points are collinear"),
+            ([(0, 0, 0), (1, 2, 0), (0, 0, 1), (2, 4, 3), (1, 2, -1)], 1,
+             "points are coplanar, expected dimension 3"),
+            ([(0, 0, 0), (1, 0, 1), (0, 1, -1), (1, 1, 0), (2, -1, 3)], 2,
+             "points are coplanar, expected dimension 3"),
+            ([(t, -t, 2 * t) for t in (0, 3, -1, 2, 1)], 1, "points are collinear"),
+        ],
+        ids=["vertical_line", "vertical_plane", "slanted_plane", "slanted_line"],
+    )
+    def test_flat_input_found_by_a_wrap(self, pts, wraps, message, monkeypatch):
+        # flat input reaches the wrap whose starting plane holds every point:
+        # the start's vertical plane on a line or a vertical plane, else the
+        # plane of the first facet, turned about one of its steps.  A large
+        # shear moves the plane; the message stays
+        calls = []
+        wrap = polytope._wrap
+
+        def counted(*args):
+            calls.append(args)
+            return wrap(*args)
+
+        monkeypatch.setattr(polytope, "_wrap", counted)
+        rng = random.Random(0xF1A7)
+        for moved in (pts, apply_matrix(large_shear(rng), pts), apply_matrix(large_shear(rng), pts)):
+            assert degeneracy(moved) == message
+            with pytest.raises(DegenerateInputError) as info:
+                convex_hull(moved)
+            assert str(info.value) == message
+            if moved is pts:
+                assert len(calls) == wraps
+
+    @pytest.mark.parametrize(
         "pts",
         [
             [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)],
@@ -577,6 +613,25 @@ class TestFanoReflexive:
         assert is_fano(poly)
         assert not is_reflexive(poly)
         assert convex_hull(scaled).facets[0].height == 2
+
+
+    def test_height_one_on_every_facet_is_reflexive(self, reflexive_pool):
+        # is_reflexive reads the heights alone: height 1 on every facet makes
+        # the polytope Fano, so the old definition below, which also ran the
+        # Fano test, gives the same verdict
+        def with_fano_test(poly):
+            return is_fano(poly) and all(f.height == 1 for f in poly.facets)
+
+        twice = tuple((2 * x, 2 * y, 2 * z) for x, y, z in OCTAHEDRON)
+        off_origin = tuple((x + 1, y + 1, z) for x, y, z in OCTAHEDRON)
+        inputs = list(NAMED_FANO.values()) + list(reflexive_pool)
+        inputs += [NOT_REFLEXIVE, FANO_UNITARY_NOT_HEIGHT_ONE, twice, off_origin]
+        verdicts = []
+        for pts in inputs:
+            poly = convex_hull(pts)
+            assert is_reflexive(poly) == with_fano_test(poly)
+            verdicts.append(is_reflexive(poly))
+        assert verdicts == [True] * (len(inputs) - 4) + [False] * 4
 
 
 class TestPolar:
