@@ -7,16 +7,15 @@ facets or facet pairs on which they fire, so mismatches can be debugged
 facet by facet.
 
 ``classify`` is the one source of every verdict.  It reads the face
-lattice that ``polytope.convex_hull`` built once: one pass over the facets
-walks each cycle once through ``poly.vertices``, classifies the facet from
-its steps and area and collects the rigid-face and indecomposability
-witnesses, the latter by the summand search on the same steps in Z^3 (no
-polygon is built), and one pass over the facet
-pairs of the edges collects the AFT witnesses.  Only on a non-reflexive
-polytope does a pass over the edges test whether their endpoints extend
-to a basis of Z^3; on a reflexive one that holds exactly for the unitary
-edges.  The degree is one more pass over the edges, and the Hilbert
-coefficients follow from it in closed form.
+lattice that ``polytope.convex_hull`` built once.  One pass over the facets
+reads each standard triangle or square off its vertex count and area, walks
+every other cycle for its lattice lengths, and runs the early-exit summand
+test on the steps in Z^3 of the unitary ones (no polygon is built).  If some
+facet is an A_m-triangle, a pass over the facet pairs of the edges collects
+the AFT witnesses.  Only on a non-reflexive polytope does a pass over the
+edges test whether their endpoints extend to a basis of Z^3; on a reflexive
+one that holds exactly for the unitary edges.  The degree is one more pass
+over the edges, and the Hilbert coefficients follow from it in closed form.
 
 The report is the API: ``ClassificationReport`` defines every field.  The
 four ``criterion_*`` functions each check a guard and return one field, for
@@ -43,7 +42,7 @@ from .polygon import (
     classify_polygon,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     facet_to_polygon,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
     is_minkowski_indecomposable,  # noqa: F401 - unused; kept so perfbench's tracer can rebind it
-    summand_assignments,
+    has_proper_summand,
 )
 from .polytope import (
     LatticePolytope,
@@ -257,38 +256,40 @@ def classify(
     rigid_witnesses = []
     indec_witnesses = []
     for fi, facet in enumerate(facets):
-        # one walk round the cycle in Z^3, from its last vertex, gives the
-        # steps and their lattice lengths, which a unimodular chart keeps
         cycle = facet.vertex_indices
-        steps, lengths = [], []
-        ux, uy, uz = vertices[cycle[-1]]
-        for i in cycle:
-            x, y, z = vertices[i]
-            dx, dy, dz = x - ux, y - uy, z - uz
-            steps.append((dx, dy, dz))
-            lengths.append(gcd(dx, dy, dz))
-            ux, uy, uz = x, y, z
-        cls = classify_counts(len(cycle), tuple(sorted(lengths)), facet.area2)
+        k, area2 = len(cycle), facet.area2
+        if area2 == k - 2:
+            # Pick: area2 = 2 I + B - 2 with B >= k, so I = 0 and unit edges,
+            # and then k <= 4 (width 1, or twice a standard triangle): exactly
+            # the standard facets.  A square is a sum of two segments: no search
+            cls = classify_counts(k, (1,) * k, area2)
+        else:
+            # the lattice lengths of the steps in Z^3, which a chart keeps
+            lengths = []
+            ux, uy, uz = vertices[cycle[-1]]
+            for i in cycle:
+                x, y, z = vertices[i]
+                lengths.append(gcd(x - ux, y - uy, z - uz))
+                ux, uy, uz = x, y, z
+            cls = classify_counts(k, tuple(sorted(lengths)), area2)
+            if reflexive and cls.edge_lengths[-1] == 1:
+                # unitary: each step is its own primitive direction, of length 1
+                p = [vertices[i] for i in cycle]
+                steps = [((x - a, y - b, z - c), 1) for (a, b, c), (x, y, z) in zip(p[-1:] + p, p)]
+                if not has_proper_summand(steps):
+                    indec_witnesses.append(fi)
         classes.append(cls)
         kinds.add(cls.kind)
         facet_unitary = cls.edge_lengths[-1] == 1
         unitary = unitary and facet_unitary
-        if len(cycle) != 3:
+        if k != 3:
             triangles = False
-        elif facet.height * facet.area2 != 1 and facet_unitary:  # |det| of its vertices
-            i, j, k = cycle
+        elif facet.height * area2 != 1 and facet_unitary:  # |det| of its vertices
+            i, j, h = cycle
             if reflexive or all(
-                (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, k), (k, i))
+                (min(u, v), max(u, v)) in basis for u, v in ((i, j), (j, h), (h, i))
             ):
                 rigid_witnesses.append(fi)
-        if reflexive and facet_unitary and cls.kind not in _NODE_KINDS:
-            # a standard square has area2 2 by Pick, so it is the unit square
-            # up to AGL(2, Z), the sum of two segments: no search needed.
-            # Unitary: each step is its own primitive direction, of length 1;
-            # indecomposable when only the zero and the full assignment close,
-            # from whichever vertex the steps start
-            if len(summand_assignments([(step, 1) for step in steps])) <= 2:
-                indec_witnesses.append(fi)
 
     common = dict(
         polytope_id=polytope_id,
@@ -301,18 +302,19 @@ def classify(
         return _report(**common, reflexive=False)
 
     aft_witnesses = []
-    for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
-        if classes[f0].kind != AM_TRIANGLE or classes[f1].kind != AM_TRIANGLE:
-            continue
-        # both are triangles, so each has one apex off the shared edge.  An
-        # apex that pairs to 0 against the other normal lies at lattice
-        # distance 1 from the edge, which then has length area2 = m + 1: it
-        # is the long edge of both triangles, and their m agree
-        for g, h in ((f0, f1), (f1, f0)):
-            (apex,) = (i for i in facets[g].vertex_indices if i != a and i != b)
-            if dot(facets[h].normal, vertices[apex]) == 0:
-                aft_witnesses.append((min(f0, f1), max(f0, f1)))
-                break
+    if AM_TRIANGLE in kinds:
+        for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
+            if classes[f0].kind != AM_TRIANGLE or classes[f1].kind != AM_TRIANGLE:
+                continue
+            # both are triangles, so each has one apex off the shared edge.  An apex
+            # that pairs to 0 against the other normal lies at lattice distance 1
+            # from the edge, which then has length area2 = m + 1: it is the long
+            # edge of both triangles, and their m agree
+            for g, h in ((f0, f1), (f1, f0)):
+                (apex,) = (i for i in facets[g].vertex_indices if i != a and i != b)
+                if dot(facets[h].normal, vertices[apex]) == 0:
+                    aft_witnesses.append((min(f0, f1), max(f0, f1)))
+                    break
     aft_witnesses.sort()
 
     smooth = kinds == {STANDARD_TRIANGLE}

@@ -3,13 +3,13 @@
 A facet's polygon is its vertex cycle read in Z^2 through the unimodular
 chart of ``chart_rows``; ``facet_to_polygon`` charts it on each call, and
 no facet keeps it.  Every predicate here (classification, edge lengths,
-decomposability) is invariant under such charts, and the summand search
-also runs on a facet's steps in Z^3.
+decomposability) is invariant under such charts, and the summand searches
+also run on a facet's steps in Z^3.
 
-Minkowski summands of a convex lattice polygon are enumerated by the edge
-vector method: a lattice summand is exactly a choice of sub-lengths of the
-edge vectors that closes up to zero, taken in the same cyclic order.  Each
-decomposition also carries the rays of its lifted cone (Altmann's).
+The lattice Minkowski summands of a convex lattice polygon are exactly the
+choices of sub-lengths of its edge vectors that close up to zero, in the
+same cyclic order (the edge vector method).  A test for a proper one stops
+at the first; a decomposition carries its lifted cone's rays (Altmann's).
 """
 
 from __future__ import annotations
@@ -242,14 +242,32 @@ def summand_assignments(steps) -> list[tuple[int, ...]]:
     return sorted(acc for acc, _, _, _ in prefixes)
 
 
+def has_proper_summand(steps) -> bool:
+    """Whether an assignment other than the zero and the full one closes up.
+
+    ``steps`` are as in ``summand_assignments``; an empty list is a point.
+    A closing assignment's complement closes too, so the search keeps
+    a_0 < l_0, adds each later step 1..l_i times and stops at a new sum 0.
+    """
+    sums = {(a * dx, a * dy, a * dz) for (dx, dy, dz), length in steps[:1] for a in range(length)}
+    for (dx, dy, dz), length in steps[1:]:
+        new = {
+            (x + a * dx, y + a * dy, z + a * dz) for a in range(1, length + 1) for x, y, z in sums
+        }
+        if (0, 0, 0) in new:
+            return True
+        sums |= new
+    return False
+
+
 def enumerate_summand_vectors(poly: LatticePolygon) -> list[tuple[int, ...]]:
     """``summand_assignments`` of the polygon's edges, one per edge, in edge order."""
     return summand_assignments([((dx, dy, 0), length) for (dx, dy), length in poly.edges])
 
 
 def is_minkowski_indecomposable(poly: LatticePolygon) -> bool:
-    """True when the only admissible assignments are the zero and full ones."""
-    return len(enumerate_summand_vectors(poly)) <= 2
+    """True when ``has_proper_summand`` finds no proper summand of its edges."""
+    return not has_proper_summand([((dx, dy, 0), length) for (dx, dy), length in poly.edges])
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from fano3.polygon import (
     classify_polygon,
     facet_to_polygon,
 )
-from fano3.polytope import convex_hull
+from fano3.polytope import convex_hull, polar
 
 
 
@@ -233,6 +233,33 @@ def _gl3_inverse(m):
     return tuple(tuple(det * x for x in row) for row in adj)
 
 
+class TestStandardFacets:
+    def test_standard_exactly_when_k_and_area2_say_so(self, reflexive_pool):
+        # classify reads a standard triangle or square off its vertex count k
+        # and area2 alone, with no walk.  The oracle charts each facet cycle
+        # on its own and decides the class by AGL(2, Z) equivalence with the
+        # models; the polars have the larger facets, the shears large entries
+        rng = random.Random(0x5CA1E)
+        pool = reflexive_pool + [polar(hull(pts)).vertices for pts in reflexive_pool]
+        inputs = list(NAMED_FANO.values()) + pool
+        inputs += [apply_matrix(large_shear(rng), pts) for pts in inputs]
+        standard = (STANDARD_TRIANGLE, STANDARD_SQUARE)
+        seen = set()
+        for pts in inputs:
+            poly = hull(pts)
+            for facet, cls in zip(poly.facets, classify(poly, m_max=0).facet_classes):
+                points = [poly.vertices[i] for i in facet.vertex_indices]
+                cycle = [oracles.chart_point(facet.normal, p) for p in points]
+                pairs = zip(cycle, cycle[1:] + cycle[:1])
+                area2 = abs(sum(oracles._det2(a, b) for a, b in pairs))
+                kind, _ = oracles.polygon_class(cycle)
+                assert (kind in standard) == ((len(cycle), area2) in ((3, 1), (4, 2)))
+                if kind in standard or cls.kind in standard:
+                    assert cls.kind == kind
+                seen.add(kind)
+        assert seen == {STANDARD_TRIANGLE, STANDARD_SQUARE, AM_TRIANGLE, OTHER}
+
+
 class TestIndec:
     def test_pyramid_pentagon_decomposes(self):
         assert criterion_indec(hull(PYRAMID)) == []
@@ -276,12 +303,12 @@ class TestIndec:
 
     def test_polygons_built_only_for_the_minkowski_test(self, reflexive_pool, monkeypatch):
         # neither the hull nor classify builds a polygon: the Minkowski test
-        # runs the summand search on the 3-D steps of the unitary facets that
-        # are neither standard triangles nor standard squares, once per such
-        # facet
+        # runs the early-exit summand search on the 3-D steps of the unitary
+        # facets that are neither standard triangles nor standard squares,
+        # once per such facet
         built, searched = [], []
         post_init = fano3.polygon.LatticePolygon.__post_init__
-        search = fano3.criteria.summand_assignments
+        search = fano3.criteria.has_proper_summand
 
         def counting_post_init(polygon):
             built.append(polygon)
@@ -292,7 +319,7 @@ class TestIndec:
             return search(steps)
 
         monkeypatch.setattr(fano3.polygon.LatticePolygon, "__post_init__", counting_post_init)
-        monkeypatch.setattr(fano3.criteria, "summand_assignments", counting_search)
+        monkeypatch.setattr(fano3.criteria, "has_proper_summand", counting_search)
         tested = 0
         for pts in reflexive_pool:
             searched.clear()

@@ -25,6 +25,7 @@ from fano3.polygon import (
     convex_hull_2d,
     enumerate_summand_vectors,
     facet_to_polygon,
+    has_proper_summand,
     is_minkowski_indecomposable,
     maximal_decompositions,
     summand_assignments,
@@ -285,6 +286,7 @@ class TestSummandVectors:
                     steps.append((tuple(x // gcd(*d) for x in d), gcd(*d)))
                 got = summand_assignments(steps)
                 assert got == enumerate_summand_vectors(facet_to_polygon(poly, fi))
+                assert has_proper_summand(steps) == (len(got) > 2)
                 decomposable += len(got) > 2
         assert decomposable > 100
 
@@ -303,6 +305,22 @@ class TestIndecomposable:
 
     def test_standard_triangle_indecomposable(self):
         assert is_minkowski_indecomposable(LatticePolygon(UNIT_TRIANGLE))
+
+    def test_matches_the_decomposability_oracle(self):
+        # hulls of a few random points of a small box, from a point to
+        # pentagons, with edges up to length 3; at most 9 lattice points keep
+        # the oracle's search over their subsets fast
+        rng = random.Random(0xDEC0)
+        seen = set()
+        for _ in range(200):
+            points = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 6))]
+            cycle = oracles.jarvis_hull_2d(points)
+            if len(oracles.polygon_lattice_points(cycle)) > 9:
+                continue
+            expected = oracles.is_decomposable(cycle)
+            assert is_minkowski_indecomposable(LatticePolygon(cycle)) != expected, cycle
+            seen.add((min(len(cycle), 4), expected))
+        assert seen >= {(2, True), (2, False), (3, True), (3, False), (4, True), (4, False)}
 
 
 class TestMaximalDecompositions:

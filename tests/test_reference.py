@@ -26,6 +26,7 @@ from conftest import (
     large_shear,
 )
 from fano3.criteria import classify
+from fano3.polygon import LatticePolygon, is_minkowski_indecomposable
 from fano3.polytope import convex_hull
 
 FIXTURES = list(NAMED_FANO.values()) + [
@@ -160,6 +161,7 @@ class TestReferencePieces:
     )
     def test_decomposable(self, cycle, expected):
         assert oracles.is_decomposable(cycle) == expected
+        assert is_minkowski_indecomposable(LatticePolygon(cycle)) != expected
 
     def test_classes_of_fixtures(self):
         aft = oracles.reference_report(AFT_FIXTURE)
