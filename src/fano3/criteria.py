@@ -8,9 +8,11 @@ facet by facet.
 
 ``classify`` is the one source of every verdict.  It reads the face
 lattice that ``polytope.convex_hull`` built once.  One pass over the facets
-reads each standard triangle or square off its vertex count and area, walks
-every other cycle for its lattice lengths, and runs the early-exit summand
-test on the steps in Z^3 of the unitary ones (no polygon is built).  If some
+reads the class of each facet with area2 < k, k its vertex count, off k and
+area2 (by Pick: a standard triangle or square, or unit edges but one of
+length 2), walks every other cycle for its lattice lengths, and runs the
+early-exit summand test on the steps in Z^3 of the unitary ones (no polygon
+is built).  If some
 facet is an A_m-triangle, a pass over the facet pairs of the edges collects
 the AFT witnesses.  Only on a non-reflexive polytope does a pass over the
 edges test whether their endpoints extend to a basis of Z^3; on a reflexive
@@ -258,11 +260,14 @@ def classify(
     for fi, facet in enumerate(facets):
         cycle = facet.vertex_indices
         k, area2 = len(cycle), facet.area2
-        if area2 == k - 2:
-            # Pick: area2 = 2 I + B - 2 with B >= k, so I = 0 and unit edges,
-            # and then k <= 4 (width 1, or twice a standard triangle): exactly
-            # the standard facets.  A square is a sum of two segments: no search
-            cls = classify_counts(k, (1,) * k, area2)
+        if area2 < k:
+            # Pick: area2 = 2 I + B - 2 with B >= k, the sum of the lengths.
+            # area2 = k - 2: I = 0 and unit edges, and then k <= 4 (width 1, or
+            # twice a standard triangle): exactly the standard facets.  A square
+            # is a sum of two segments: no search.  area2 = k - 1: I = 0 and
+            # B = k + 1, so one step of length 2; not unitary, so no summand
+            # search and no rigid-face witness
+            cls = classify_counts(k, (1,) * (k - 1) + (area2 - k + 3,), area2)
         else:
             # the lattice lengths of the steps in Z^3, which a chart keeps
             lengths = []

@@ -152,9 +152,11 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
     one pass over the points, it becomes the plane through u, v and some q
     that has no point above it.  A second pass collects the members of that
     plane and rejects any point above it.  Three members are the triangle
-    (u, v, q); more are wrapped inside the plane from v back to u, farthest
-    point on ties.  Returns (normal, height, area2, cycle, others): the
-    cycle of corners from its smallest index and the members off the cycle.
+    (u, v, q).  Four are the quadrilateral of u, v and the other two when
+    each of its corners turns strictly left; any other members are wrapped
+    inside the plane from v back to u, farthest point on ties.  Returns
+    (normal, height, area2, cycle, others): the cycle of corners from its
+    smallest index and the members off the cycle.
     No point above the plane of m reversed means flat input, which
     DegenerateInputError names, or, with a point below, an m not outward.
     """
@@ -203,14 +205,35 @@ def _wrap(pts: list[Vec], u: int, v: int, m: Vec) -> tuple:
     k, i, j = (nz, 0, 1) if nz else (ny, 2, 0) if ny else (nx, 1, 2)
     if k < 0:
         i, j = j, i
+    ua, ub = pts[u][i], pts[u][j]
+    va, vb = pts[v][i], pts[v][j]
+    # the shoelace sum of p x p' over the steps p -> p' is area2 times |k| / g,
+    # the size of the primitive normal's coordinate
+    if len(members) == 4:
+        # the quadrilateral u -> v -> x -> y, with y left of v -> x, is the
+        # facet when all four corners turn strictly left; a member inside an
+        # edge or inside the facet, or a faulty u -> v, goes on to the walk
+        x, y = [r for r in members if r != u and r != v]
+        xa, xb, ya, yb = pts[x][i] - va, pts[x][j] - vb, pts[y][i] - va, pts[y][j] - vb
+        if xa * yb < xb * ya:
+            x, y, xa, xb, ya, yb = y, x, ya, yb, xa, xb
+        # x and y are now read from v; with s the step u -> v and t the step
+        # x -> y, the turns at v, x, y and u are the 2x2 crosses (s, x),
+        # (x, y), (t, -s - y) and (s, y)
+        sa, sb, ta, tb = va - ua, vb - ub, ya - xa, yb - xb
+        if (sa * xb > sb * xa and xa * yb > xb * ya
+                and tb * (sa + ya) > ta * (sb + yb) and sa * yb > sb * ya):
+            # the quadrilateral's shoelace sum is the cross of its diagonals
+            area = (xa + sa) * yb - (xb + sb) * ya
+            cycle = ((u, v, x, y) if u < v and u < x and u < y else (v, x, y, u)
+                     if v < x and v < y else (x, y, u, v) if x < y else (y, u, v, x))
+            return normal, height, area * g // abs(k), cycle, ()
     flat = [(pts[r][i], pts[r][j], r) for r in members]
     # the corner after c is the member w with every member left of or on
     # c -> w, the farthest one on ties
     cycle = [u]
-    ua, ub = pts[u][i], pts[u][j]
-    c, ca, cb = v, pts[v][i], pts[v][j]
-    # the shoelace sum of p x p' over the steps p -> p' is area2 times |k| / g,
-    # the size of the primitive normal's coordinate; this is the term of u -> v
+    c, ca, cb = v, va, vb
+    # the term of the step u -> v
     area = ua * cb - ub * ca
     while c != u:
         if len(cycle) == len(members):
@@ -238,7 +261,9 @@ def convex_hull(points) -> LatticePolytope:
     step whose reverse is on no facet yet, so F facets take F wraps over
     the points.  Each wrap checks that no point lies above its facet and
     reads the facet's ``area2`` and its cycle of corners, counterclockwise
-    seen from outside, in Z^3.  The wrap loop maps each directed cycle step
+    seen from outside, in Z^3: a plane of three members, or of four in
+    strictly convex position, is read off them, and any other plane is
+    walked.  The wrap loop maps each directed cycle step
     to its facet, once; facets are then sorted by (normal, height), and the
     map's keys give the edges, and its values, read through the sort's
     permutation, their oriented facet pairs.  The edges of at most 16 points,

@@ -235,10 +235,12 @@ def _gl3_inverse(m):
 
 class TestStandardFacets:
     def test_standard_exactly_when_k_and_area2_say_so(self, reflexive_pool):
-        # classify reads a standard triangle or square off its vertex count k
-        # and area2 alone, with no walk.  The oracle charts each facet cycle
-        # on its own and decides the class by AGL(2, Z) equivalence with the
-        # models; the polars have the larger facets, the shears large entries
+        # classify reads a facet with area2 < k off its vertex count k and
+        # area2 alone, with no walk: area2 = k - 2 is a standard triangle or
+        # square, area2 = k - 1 an A_1-triangle or a quadrilateral with one
+        # edge of length 2.  The oracle charts each facet cycle on its own and
+        # decides the class by AGL(2, Z) equivalence with the models; the
+        # polars have the larger facets, the shears large entries
         rng = random.Random(0x5CA1E)
         pool = reflexive_pool + [polar(hull(pts)).vertices for pts in reflexive_pool]
         inputs = list(NAMED_FANO.values()) + pool
@@ -252,12 +254,12 @@ class TestStandardFacets:
                 cycle = [oracles.chart_point(facet.normal, p) for p in points]
                 pairs = zip(cycle, cycle[1:] + cycle[:1])
                 area2 = abs(sum(oracles._det2(a, b) for a, b in pairs))
-                kind, _ = oracles.polygon_class(cycle)
+                kind, m = oracles.polygon_class(cycle)
                 assert (kind in standard) == ((len(cycle), area2) in ((3, 1), (4, 2)))
-                if kind in standard or cls.kind in standard:
-                    assert cls.kind == kind
-                seen.add(kind)
-        assert seen == {STANDARD_TRIANGLE, STANDARD_SQUARE, AM_TRIANGLE, OTHER}
+                if kind in standard or cls.kind in standard or area2 < len(cycle):
+                    assert (cls.kind, cls.m) == (kind, m)
+                    seen.add((kind, len(cycle) - area2))
+        assert seen == {(STANDARD_TRIANGLE, 2), (STANDARD_SQUARE, 2), (AM_TRIANGLE, 1), (OTHER, 1)}
 
 
 class TestIndec:

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -220,6 +221,31 @@ class TestClassify:
             assert cls.kind == expected
             seen.add(expected)
         assert seen == {STANDARD_TRIANGLE, STANDARD_SQUARE, AM_TRIANGLE, OTHER}
+
+    def test_pick_fixes_the_small_areas(self):
+        # classify reads a facet's class off (k, area2) alone when area2 < k.
+        # Pick's formula allows that; here lattice points are counted instead,
+        # on every lattice triangle and strictly convex quadrilateral with
+        # corners in {0..3}^2: area2 >= k - 2, area2 = k - 2 exactly when
+        # every edge has length 1 and no point lies inside, and area2 = k - 1
+        # only with edge lengths 1, .., 1, 2 and no point inside
+        box = list(product(range(4), repeat=2))
+        seen = set()
+        for k in (3, 4):
+            for corners in combinations(box, k):
+                cycle = oracles.jarvis_hull_2d(corners)
+                if len(cycle) < k:
+                    continue
+                area2 = abs(sum(oracles._det2(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])))
+                lengths = sorted(t for _, t in oracles.polygon_edges(cycle))
+                inside = [p for p in oracles.polygon_lattice_points(cycle)
+                          if _strictly_inside(cycle, p)]
+                assert area2 >= k - 2
+                assert (area2 == k - 2) == (lengths == [1] * k and not inside)
+                if area2 == k - 1:
+                    assert lengths == [1] * (k - 1) + [2] and not inside
+                seen.add((k, area2 - k))
+        assert {(3, -2), (3, -1), (4, -2), (4, -1), (3, 0), (4, 0)} <= seen
 
     def test_descriptors_match_brute_force(self):
         for verts in (UNIT_SQUARE, UNIT_TRIANGLE, am_triangle(3), PENTAGON):

@@ -296,17 +296,30 @@ class TestConvexHull:
                     assert turn != (0, 0, 0)
 
     def test_facet_area_and_steps_match_the_polygon(self, reflexive_pool):
-        # the hull reads area2 off a triangle's raw normal or a larger facet's
-        # shoelace sum, and wraps its boundary in Z^3; the polygon walks the
-        # chart points: the two paths must agree
+        # the hull reads area2 off a triangle's raw normal, a quadrilateral's
+        # diagonals or a larger facet's shoelace sum, and wraps its boundary
+        # in Z^3; the polygon walks the chart points: the two paths must agree
         rng = random.Random(0xA2EA)
         pool = random.Random(0xC055).sample(reflexive_pool, 30)
         inputs = list(NAMED_FANO.values()) + pool
         inputs += [apply_matrix(large_shear(rng), pts) for pts in pool]
         # clouds with points inside facets and on edges
         inputs += [oracles.brute_points(pts) for pts in NAMED_FANO.values()]
+        # planes with four members not in strictly convex position, which
+        # the wrap leaves to its walk: a triangle with a point inside an
+        # edge, and one with a point inside it, each also sheared
+        flat_four = [((0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)),
+                     ((0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0), (1, 1, -2))]
+        inputs += flat_four + [apply_matrix(large_shear(rng), pts) for pts in flat_four]
         for pts in inputs:
             poly = convex_hull(pts)
+            pts = list(dict.fromkeys(pts))
+            vertices = oracles.brute_vertex_set(pts)
+            assert_hull(poly, oracles.brute_facets(pts), vertices)
+            stepping = {}
+            for facet in poly.facets:
+                cyc = [poly.vertices[i] for i in facet.vertex_indices]
+                stepping.update(dict.fromkeys(zip(cyc, cyc[1:] + cyc[:1]), facet))
             for fi, facet in enumerate(poly.facets):
                 cyc = [poly.vertices[i] for i in facet.vertex_indices]
                 polygon = facet_to_polygon(poly, fi)
@@ -315,6 +328,16 @@ class TestConvexHull:
                 assert steps == [length for _, length in polygon.edges]
                 fan = [det3((cyc[0], b, c)) for b, c in zip(cyc[1:-1], cyc[2:])]
                 assert sum(map(abs, fan)) == facet.height * facet.area2
+                # the wrap across each step, from the facet on its other side,
+                # returns this facet and the members of its plane off the cycle
+                off = sorted(p for p in pts if dot(facet.normal, p) == facet.height
+                             and p not in vertices)
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    normal, height, area2, cycle, others = polytope._wrap(
+                        pts, pts.index(a), pts.index(b), stepping[b, a].normal)
+                    assert (normal, height, area2) == (facet.normal, facet.height, facet.area2)
+                    assert [pts[r] for r in cycle] == cyc
+                    assert sorted(pts[r] for r in others) == off
 
     def test_faulty_wraps_reach_every_guard(self, monkeypatch):
         # each fault injected into the facet wrap trips a guard of the hull,

@@ -37,6 +37,15 @@ cat bom.palp bom.palp > bom2.palp
 $FANO3 lists smoke2.palp --out lists2x.json
 $FANO3 lists bom2.palp --out bomlists2x.json
 cmp lists2x.json bomlists2x.json
+# a lattice point inside an edge leaves the hull, and so the report, as
+# it is: (0, -1, -1) halves the edge of length 2 of the simplex of
+# P(1, 1, 2, 2), so each of its two A_1-triangles has four members in its
+# plane, which the facet wrap reads by its in-plane walk
+printf '4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -2 -2\n' > simplex.palp
+printf '5 3\n1 0 0\n0 1 0\n0 0 1\n-1 -2 -2\n0 -1 -1\n' > edgepoint.palp
+$FANO3 classify simplex.palp --out simplex.json
+$FANO3 classify edgepoint.palp --out edgepoint.json
+cmp simplex.json edgepoint.json
 # the exit-code contract: 1 on a verify mismatch, 2 on an input
 # error, which prints one "error: " line and no traceback
 printf '{"L_smooth": [1]}\n' > wrong.json
