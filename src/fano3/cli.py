@@ -5,7 +5,8 @@ classification and write static reports.  Output ordering is by polytope id,
 so results are bit-identical across runs and across worker counts.
 
 Exit codes: 0 on success (and on a clean verify match), 1 when verify finds
-a mismatch, 2 on input errors and on a failed guard of the hull.  ``main`` is
+a mismatch, 2 on input errors and on a failed guard of the hull, 141, with
+nothing printed, when stdout is a pipe that its reader closed.  ``main`` is
 the one error boundary: it prints such an error, also one raised in a worker
 process, as one ``error: `` line (``polytope N: hull: ...`` for a guard).
 """
@@ -236,7 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: stop quietly, with the status a shell
+        # gives a writer that SIGPIPE stopped; fd 1 on /dev/null keeps the
+        # interpreter's flush at exit quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except (InputError, db.DatabaseFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,21 +22,6 @@ class DegenerateInputError(ValueError):
     """Raised when hull input does not span all of R^3."""
 
 
-# _PAIRS[i][j] is (i, j), one shared tuple for each i, j < 16: enough for the
-# edges and facet pairs of any reflexive 3-polytope (at most 14 vertices, 14 facets)
-_PAIRS = tuple(tuple((i, j) for j in range(16)) for i in range(16))
-
-
-class _FreshPairs:
-    """_PAIRS for indices of any size: ``_FreshPairs()[i][j]`` is a new tuple (i, j)."""
-
-    def __init__(self, i=None):
-        self.i = i
-
-    def __getitem__(self, j):
-        return _FreshPairs(j) if self.i is None else (self.i, j)
-
-
 def frozen_builder(cls):
     """Builds what cls(...) builds, for a frozen slots dataclass cls, with one call.
 
@@ -78,7 +63,7 @@ class LatticePolytope:
     are index pairs (a, b) with a < b, sorted; ``facet_adjacency[i]`` is the
     pair (left, right) of facets meeting along ``edges[i]`` = (a, b): the
     cycle of the left facet steps from a to b, that of the right facet from
-    b to a.  ``convex_hull`` shares pairs of small indices between polytopes.
+    b to a.
     """
 
     vertices: tuple[Vec, ...]
@@ -266,10 +251,8 @@ def convex_hull(points) -> LatticePolytope:
     walked.  The wrap loop maps each directed cycle step
     to its facet, once; facets are then sorted by (normal, height), and the
     map's keys give the edges, and its values, read through the sort's
-    permutation, their oriented facet pairs.  The edges of at most 16 points,
-    as of a reflexive polytope's vertices, and the facet pairs of at most 16
-    facets are shared tuples of the module's pair table, others new ones.
-    A cycle starts at its smallest vertex index.
+    permutation, their oriented facet pairs.  A cycle starts at its smallest
+    vertex index.
     Raises DegenerateInputError when the points do not affinely span R^3;
     the wrap whose starting plane holds them all finds it: the first on a
     line or a vertical plane, the second on any other plane.
@@ -281,9 +264,7 @@ def convex_hull(points) -> LatticePolytope:
     a, c, m = _start(pts)
     # the steps to wrap, each with the normal of the facet across it; the
     # list grows while it is read, and a step on a facet found is skipped;
-    # ``left`` maps each directed cycle step, a pair of ``pairs``, to its
-    # facet's index in ``found``
-    pairs = _PAIRS if len(pts) <= len(_PAIRS) else _FreshPairs()
+    # ``left`` maps each directed cycle step to its facet's index in ``found``
     found, left, todo = [], {}, [(c, a, m)]
     used, off, steps = set(), (), 0
     for u, v, m in todo:
@@ -297,7 +278,7 @@ def convex_hull(points) -> LatticePolytope:
         steps += len(cycle)
         x = cycle[-1]
         for y in cycle:
-            left[pairs[x][y]] = fi
+            left[x, y] = fi
             todo.append((y, x, normal))
             x = y
         if (u, v) not in left:
@@ -312,14 +293,13 @@ def convex_hull(points) -> LatticePolytope:
         raise AssertionError("vertex on the wrong side of a facet")
     edges = sorted([step for step in left if step[0] < step[1]])
     # the wrap loop has put the reverse of every step on a facet
-    facet_pairs = _PAIRS if len(found) <= len(_PAIRS) else _FreshPairs()
-    adjacency = tuple([facet_pairs[rank[left[a, b]]][rank[left[b, a]]] for a, b in edges])
+    adjacency = tuple([(rank[left[a, b]], rank[left[b, a]]) for a, b in edges])
     # points on no facet cycle (inside, or inside a facet or an edge) are
     # dropped; the usual input has none, and then nothing is renumbered
     if len(used) < len(pts):
         # a monotone renumbering: cycle starts and the edge order stay
         renumber = {old: new for new, old in enumerate(sorted(used))}
-        edges = [pairs[renumber[a]][renumber[b]] for a, b in edges]
+        edges = [(renumber[a], renumber[b]) for a, b in edges]
         found = [(*f[:3], tuple([renumber[i] for i in f[3]]), f[4]) for f in found]
         pts = [pts[i] for i in renumber]
     if len(left) != steps or 2 * len(edges) != steps:

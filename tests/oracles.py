@@ -625,8 +625,8 @@ def json_record_fault(entry):
 
 
 def load_json_db(text):
-    """The JSON value of a database text, after an optional leading byte-order
-    mark, or None if it is not JSON."""
+    """The JSON value of a database or expected-lists text, after an optional
+    leading byte-order mark, or None if it is not JSON."""
     try:
         return json.loads(text[1:] if text.startswith("\ufeff") else text)
     except (ValueError, RecursionError):  # not JSON, an int over the digit limit, nesting
@@ -645,3 +645,43 @@ def read_json_db(text):
         return None
     records = [(entry["id"], tuple(map(tuple, entry["vertices"]))) for entry in data]
     return records if len({pid for pid, _ in records}) == len(records) else None
+
+
+LIST_NAMES = ("L_smooth", "L_isol", "L_nodes", "L_low", "L_indec", "L_aft")
+UNION_KEY = "union_indec_aft"
+
+
+def expected_lists_fault(data):
+    """What breaks the README's rules in the JSON value of an expected-lists file, or None.
+
+    ("object", None) when it is no JSON object; else, for its first faulty
+    entry in the object's order, ("union", key) when ``union_indec_aft`` is
+    no JSON integer, ("name", key) for a key that is none of the six list
+    names, or ("ids", key) for a list that is no array of JSON integers.
+    """
+    if type(data) is not dict:
+        return "object", None
+    for key, value in data.items():
+        if key == UNION_KEY:
+            if type(value) is not int:
+                return "union", key
+        elif key not in LIST_NAMES:
+            return "name", key
+        elif type(value) is not list or any(type(i) is not int for i in value):
+            return "ids", key
+    return None
+
+
+def read_expected_lists(text):
+    """The lists of an expected-lists text, or None if it is malformed.
+
+    Written from the README's format section: the text, read by
+    ``load_json_db``, is a JSON object that maps any of the six list names
+    to arrays of ids, which are JSON integers, and may hold
+    ``union_indec_aft``, a JSON integer; it has no other key.  Returns each
+    list present as a frozenset of its ids, and the union size if given.
+    """
+    data = load_json_db(text)
+    if expected_lists_fault(data):
+        return None
+    return {key: value if key == UNION_KEY else frozenset(value) for key, value in data.items()}

@@ -623,6 +623,41 @@ def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, messag
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "db.palp", "--out", "report.json"], 141),
+        (["lists", "db.palp"], 141),
+        (["verify", "db.palp", "--expected", "expected.json"], 141),
+        (["inspect", "db.palp", "--id", "1", "--lift"], 141),
+        (["lists", "missing.palp"], 2),
+    ],
+    ids=["classify", "lists", "verify", "inspect", "input_error"],
+)
+def test_closed_stdout(tmp_path, argv, code):
+    # stdout is a pipe whose read end is closed before the command starts, so
+    # its first write fails, as under `fano3 inspect ... | head -2` once head
+    # is done: exit 141 with nothing printed; an input error is still one
+    # "error: " line with exit 2
+    (tmp_path / "db.palp").write_text(SMOKE_PALP)
+    (tmp_path / "expected.json").write_text('{"L_smooth": [2], "L_isol": [1]}')
+    src = str(Path(fano3.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fano3.cli", *argv], cwd=tmp_path, stdout=write,
+            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    if code == 141:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 class TestInspectCommand:
     def test_dump_contains_key_facts(self, db_path, capsys):
         assert main(["inspect", str(db_path), "--id", "4"]) == 0

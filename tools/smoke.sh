@@ -55,6 +55,13 @@ grep -q '^error: ' err.txt
 if grep -q Traceback err.txt; then exit 1; fi
 rc=0; $FANO3 verify smoke.palp --expected missing.json 2> err.txt || rc=$?; test "$rc" -eq 2
 grep -q '^error: ' err.txt
+# a stdout whose reader is gone, as under `| head` once head is done:
+# exit 141 and nothing printed; the pipe's read end is closed before the
+# command starts, so its first write fails every time
+rc=0; python3 -c 'import os, subprocess, sys; r, w = os.pipe(); os.close(r)
+sys.exit(subprocess.run(sys.argv[1:], stdout=w).returncode)' \
+  $FANO3 inspect smoke.palp --id 1 2> err.txt || rc=$?; test "$rc" -eq 141
+test ! -s err.txt
 # JSON nested deeper than the recursion limit is an input error too
 python3 -c "print('[' * 200000)" > deep.json
 rc=0; $FANO3 lists deep.json 2> err.txt || rc=$?; test "$rc" -eq 2
