@@ -6,9 +6,10 @@ so results are bit-identical across runs and across worker counts.
 
 Exit codes: 0 on success (and on a clean verify match), 1 when verify finds
 a mismatch, 2 on input errors and on a failed guard of the hull, 141, with
-nothing printed, when stdout is a pipe that its reader closed.  ``main`` is
-the one error boundary: it prints such an error, also one raised in a worker
-process, as one ``error: `` line (``polytope N: hull: ...`` for a guard).
+nothing printed, when stdout (or ``--out``) is a pipe that its reader
+closed.  ``main`` is the one error boundary: it prints such an error, also
+one raised in a worker process, as one ``error: `` line (``polytope N:
+hull: ...`` for a guard), and returns 2 even when stderr is closed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def _check_mmax(m_max: int) -> None:
 def _write_output(path: str, write) -> None:
     try:
         write(path)
+    except BrokenPipeError:  # --out /dev/stdout to a pipe whose reader is gone
+        raise
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -249,7 +252,14 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (InputError, db.DatabaseFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # with fd 2 closed at start, sys.stderr is None (and print would
+        # pick stdout) or a file on fd 2 that refuses writes; the status
+        # alone tells then
+        try:
+            if sys.stderr is not None:
+                print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         return 2
 
 

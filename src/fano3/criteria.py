@@ -12,12 +12,12 @@ reads the class of each facet with area2 < k, k its vertex count, off k and
 area2 (by Pick: a standard triangle or square, or unit edges but one of
 length 2), walks every other cycle for its lattice lengths, and runs the
 early-exit summand test on the steps in Z^3 of the unitary ones (no polygon
-is built).  If some
-facet is an A_m-triangle, a pass over the facet pairs of the edges collects
-the AFT witnesses.  Only on a non-reflexive polytope does a pass over the
-edges test whether their endpoints extend to a basis of Z^3; on a reflexive
-one that holds exactly for the unitary edges.  The degree is one more pass
-over the edges, and the Hilbert coefficients follow from it in closed form.
+is built).  Only on a non-reflexive polytope does a pass over the edges
+test whether their endpoints extend to a basis of Z^3; on a reflexive one
+that holds exactly for the unitary edges.  On a reflexive one, one pass
+over the edges and their facet pairs adds up the degree and collects the
+AFT witnesses, and the Hilbert coefficients follow from the degree in
+closed form.
 
 The report is the API: ``ClassificationReport`` defines every field.  The
 four ``criterion_*`` functions each check a guard and return one field, for
@@ -181,34 +181,6 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     return list(classify(poly, m_max=0).aft_witnesses)
 
 
-def _degree(poly: LatticePolytope) -> int:
-    """(-K)^3 of a reflexive polytope: the normalized volume of its polar.
-
-    The polar's facet dual to a vertex v of P has the normals n_F of the
-    facets F through v as its vertices, in the cyclic order of those facets
-    around v.  A step v -> w of the cycle of a facet F separates F from the
-    facet G on the other side of that edge, and F, G are consecutive around
-    v.  So the sum of det((n_anchor(v), n_F, n_G)) over all directed edges,
-    with n_anchor(v) one fixed normal at v, fans every dual facet from its
-    anchor and cones it over the origin, all with one orientation; its
-    absolute value is the normalized volume of the polar.  An edge (a, b)
-    with facets (L, R) is the step a -> b of L and b -> a of R, so its two
-    terms add up to det((n_anchor(a) - n_anchor(b), n_L, n_R)), one
-    determinant per edge; the anchor at v is the left facet of its first
-    edge.  No dual hull is built.
-    """
-    facets = poly.facets
-    anchor = {}
-    total = 0
-    for (a, b), (l, r) in zip(poly.edges, poly.facet_adjacency):
-        fl = facets[l].normal
-        (ax, ay, az), (bx, by, bz) = anchor.setdefault(a, fl), anchor.setdefault(b, fl)
-        (fx, fy, fz), (gx, gy, gz) = fl, facets[r].normal
-        x, y, z = ax - bx, ay - by, az - bz
-        total += x * (fy * gz - fz * gy) - y * (fx * gz - fz * gx) + z * (fx * gy - fy * gx)
-    return abs(total)
-
-
 def hilbert_from_degree(deg: int, m_max: int) -> list[int]:
     """h_0..h_{m_max} of a reflexive polytope of degree ``deg``.
 
@@ -306,24 +278,41 @@ def classify(
     if not reflexive:
         return _report(**common, reflexive=False)
 
+    # One pass over the edges gives the degree and the AFT pairs.  (-K)^3 is
+    # the normalized volume of the polar, whose facet dual to a vertex v has
+    # the normals of the facets through v as its vertices, in their cyclic
+    # order around v.  A step v -> w of the cycle of a facet F separates F from
+    # the facet G across that edge, and F, G are consecutive around v.  So the
+    # sum of det((n_anchor(v), n_F, n_G)) over all directed edges, n_anchor(v)
+    # one fixed normal at v, fans every dual facet from its anchor and cones it
+    # over the origin, all with one orientation; its absolute value is the
+    # degree.  An edge (a, b) with facets (L, R) is the step a -> b of L and
+    # b -> a of R, so its two terms add up to det((n_anchor(a) - n_anchor(b),
+    # n_L, n_R)), one determinant per edge; the anchor at v is the left facet
+    # of its first edge.  No dual hull is built
+    anchor = {}
+    total = 0
     aft_witnesses = []
-    if AM_TRIANGLE in kinds:
-        for (a, b), (f0, f1) in zip(poly.edges, poly.facet_adjacency):
-            if classes[f0].kind != AM_TRIANGLE or classes[f1].kind != AM_TRIANGLE:
-                continue
-            # both are triangles, so each has one apex off the shared edge.  An apex
-            # that pairs to 0 against the other normal lies at lattice distance 1
-            # from the edge, which then has length area2 = m + 1: it is the long
-            # edge of both triangles, and their m agree
-            for g, h in ((f0, f1), (f1, f0)):
+    for (a, b), (l, r) in zip(poly.edges, poly.facet_adjacency):
+        fl = facets[l].normal
+        (ax, ay, az), (bx, by, bz) = anchor.setdefault(a, fl), anchor.setdefault(b, fl)
+        (fx, fy, fz), (gx, gy, gz) = fl, facets[r].normal
+        x, y, z = ax - bx, ay - by, az - bz
+        total += x * (fy * gz - fz * gy) - y * (fx * gz - fz * gx) + z * (fx * gy - fy * gx)
+        if classes[l].kind == AM_TRIANGLE and classes[r].kind == AM_TRIANGLE:
+            # both are triangles, so each has one apex off the shared edge.  An
+            # apex that pairs to 0 against the other normal lies at lattice
+            # distance 1 from the edge, which then has length area2 = m + 1: it
+            # is the long edge of both triangles, and their m agree
+            for g, h in ((l, r), (r, l)):
                 (apex,) = (i for i in facets[g].vertex_indices if i != a and i != b)
                 if dot(facets[h].normal, vertices[apex]) == 0:
-                    aft_witnesses.append((min(f0, f1), max(f0, f1)))
+                    aft_witnesses.append((min(l, r), max(l, r)))
                     break
     aft_witnesses.sort()
 
     smooth = kinds == {STANDARD_TRIANGLE}
-    deg = _degree(poly)
+    deg = abs(total)
     return _report(
         **common,
         reflexive=True,

@@ -630,15 +630,17 @@ def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, messag
         (["lists", "db.palp"], 141),
         (["verify", "db.palp", "--expected", "expected.json"], 141),
         (["inspect", "db.palp", "--id", "1", "--lift"], 141),
+        (["classify", "db.palp", "--out", "/dev/stdout"], 141),
+        (["lists", "db.palp", "--out", "/dev/stdout"], 141),
         (["lists", "missing.palp"], 2),
     ],
-    ids=["classify", "lists", "verify", "inspect", "input_error"],
+    ids=["classify", "lists", "verify", "inspect", "classify_out", "lists_out", "input_error"],
 )
 def test_closed_stdout(tmp_path, argv, code):
     # stdout is a pipe whose read end is closed before the command starts, so
     # its first write fails, as under `fano3 inspect ... | head -2` once head
-    # is done: exit 141 with nothing printed; an input error is still one
-    # "error: " line with exit 2
+    # is done: exit 141 with nothing printed, also when --out names that pipe;
+    # an input error is still one "error: " line with exit 2
     (tmp_path / "db.palp").write_text(SMOKE_PALP)
     (tmp_path / "expected.json").write_text('{"L_smooth": [2], "L_isol": [1]}')
     src = str(Path(fano3.__file__).resolve().parents[1])
@@ -656,6 +658,29 @@ def test_closed_stdout(tmp_path, argv, code):
         assert proc.stderr == ""
     else:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _read_only_fd2():
+    os.close(2)
+    os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)  # the lowest free fd: 2
+
+
+@pytest.mark.parametrize(
+    "close_stderr", [lambda: os.close(2), _read_only_fd2], ids=["closed", "read_only"]
+)
+def test_input_error_with_stderr_closed(tmp_path, close_stderr):
+    # with no fd 2 Python starts with sys.stderr None; a read-only file on
+    # fd 2, as a launcher script that bash reads can leave there, fails each
+    # write.  The error line is then lost, but the status is still the input
+    # error's 2, not the 1 of a verify mismatch, and stdout stays empty
+    src = str(Path(fano3.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fano3.cli", "lists", "missing.palp"], cwd=tmp_path,
+        stdout=subprocess.PIPE, preexec_fn=close_stderr,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 class TestInspectCommand:

@@ -3,7 +3,7 @@ import gc
 import inspect
 import random
 import textwrap
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from math import gcd
 
 import pytest
@@ -203,6 +203,30 @@ class TestRigidFace:
             calls.clear()
             classify(poly)
             assert calls == [(poly.vertices[a], poly.vertices[b]) for a, b in poly.edges]
+
+    def test_reflexive_edges_read_once(self, reflexive_pool):
+        # on a reflexive polytope one pass over the edges and their facet
+        # pairs adds up the degree and collects the AFT witnesses, also when
+        # some facet is an A_m-triangle
+        class CountedEdges(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        pool = random.Random(0x3D6E).sample(reflexive_pool, 30)
+        seen = 0
+        for pts in list(NAMED_FANO.values()) + pool:
+            poly = hull(pts)
+            expected = classify(poly)
+            if AM_TRIANGLE not in {c.kind for c in expected.facet_classes}:
+                continue
+            edges = CountedEdges(poly.edges)
+            assert classify(replace(poly, edges=edges)) == expected
+            assert edges.iterations == 1
+            seen += 1
+        assert seen >= 5
 
     def test_triangle_det_is_height_times_area(self, reflexive_pool):
         # the candidate test reads |det| of a triangular facet's vertices off

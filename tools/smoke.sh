@@ -55,13 +55,22 @@ grep -q '^error: ' err.txt
 if grep -q Traceback err.txt; then exit 1; fi
 rc=0; $FANO3 verify smoke.palp --expected missing.json 2> err.txt || rc=$?; test "$rc" -eq 2
 grep -q '^error: ' err.txt
+# ... and 2 with stderr closed, where the line cannot be printed
+rc=0; $FANO3 lists missing.palp > out.txt 2>&- || rc=$?; test "$rc" -eq 2
+test ! -s out.txt
 # a stdout whose reader is gone, as under `| head` once head is done:
-# exit 141 and nothing printed; the pipe's read end is closed before the
-# command starts, so its first write fails every time
-rc=0; python3 -c 'import os, subprocess, sys; r, w = os.pipe(); os.close(r)
-sys.exit(subprocess.run(sys.argv[1:], stdout=w).returncode)' \
-  $FANO3 inspect smoke.palp --id 1 2> err.txt || rc=$?; test "$rc" -eq 141
-test ! -s err.txt
+# exit 141 and nothing printed, also when --out names that stdout; the
+# pipe's read end is closed before the command starts, so its first write
+# fails every time
+closed_stdout() {
+  python3 -c 'import os, subprocess, sys; r, w = os.pipe(); os.close(r)
+sys.exit(subprocess.run(sys.argv[1:], stdout=w).returncode)' "$@"
+}
+for args in "inspect smoke.palp --id 1" "classify smoke.palp --out /dev/stdout" \
+    "lists smoke.palp --out /dev/stdout"; do
+  rc=0; closed_stdout $FANO3 $args 2> err.txt || rc=$?; test "$rc" -eq 141
+  test ! -s err.txt
+done
 # JSON nested deeper than the recursion limit is an input error too
 python3 -c "print('[' * 200000)" > deep.json
 rc=0; $FANO3 lists deep.json 2> err.txt || rc=$?; test "$rc" -eq 2
