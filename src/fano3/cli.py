@@ -97,7 +97,6 @@ def cmd_classify(args) -> int:
     _write_output(
         args.out, lambda path: db.write_reports(reports, path, format=args.report)
     )
-    print(f"classified {len(reports)} polytopes -> {args.out}")
     return 0
 
 

@@ -88,6 +88,27 @@ def apply_matrix(m, points):
     )
 
 
+def report_signature(rep):
+    """The GL(3, Z)-invariant content of a classification report."""
+    return (
+        rep.reflexive,
+        rep.smooth,
+        rep.isolated_singular,
+        rep.nodes,
+        rep.totaro_rigid,
+        rep.rigid_face_obstruction,
+        rep.indec_obstruction,
+        rep.aft_obstruction,
+        rep.low_degree,
+        len(rep.rigid_face_witnesses),
+        len(rep.indec_witnesses),
+        len(rep.aft_witnesses),
+        rep.degree,
+        rep.hilbert,
+        tuple(sorted((c.kind, c.m, c.edge_lengths) for c in rep.facet_classes)),
+    )
+
+
 def _random_reflexive(rng: random.Random):
     """Rejection-sample a reflexive polytope from small vertex candidates."""
     while True:
@@ -110,8 +131,3 @@ def reflexive_pool():
     """Vertex sets of randomly generated reflexive polytopes (fixed seed)."""
     rng = random.Random(0x5E3D)
     return [_random_reflexive(rng) for _ in range(POOL_SIZE)]
-
-
-@pytest.fixture(scope="session")
-def pool_rng():
-    return random.Random(0xA11CE)

@@ -626,7 +626,7 @@ def test_input_error_messages(tmp_path, monkeypatch, capsys, files, argv, messag
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["classify", "db.palp", "--out", "report.json"], 141),
+        (["classify", "db.palp", "--out", "report.json"], 0),
         (["lists", "db.palp"], 141),
         (["verify", "db.palp", "--expected", "expected.json"], 141),
         (["inspect", "db.palp", "--id", "1", "--lift"], 141),
@@ -640,7 +640,8 @@ def test_closed_stdout(tmp_path, argv, code):
     # stdout is a pipe whose read end is closed before the command starts, so
     # its first write fails, as under `fano3 inspect ... | head -2` once head
     # is done: exit 141 with nothing printed, also when --out names that pipe;
-    # an input error is still one "error: " line with exit 2
+    # classify to a file writes nothing to stdout and exits 0; an input error
+    # is still one "error: " line with exit 2
     (tmp_path / "db.palp").write_text(SMOKE_PALP)
     (tmp_path / "expected.json").write_text('{"L_smooth": [2], "L_isol": [1]}')
     src = str(Path(fano3.__file__).resolve().parents[1])
@@ -654,10 +655,28 @@ def test_closed_stdout(tmp_path, argv, code):
     finally:
         os.close(write)
     assert proc.returncode == code
-    if code == 141:
-        assert proc.stderr == ""
-    else:
+    if code == 2:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("report", ["json", "csv"])
+def test_classify_out_stdout_is_the_report(tmp_path, report):
+    # `--out /dev/stdout` pipes the report and nothing else: the bytes the
+    # same command writes to a file, and that run prints nothing
+    (tmp_path / "db.palp").write_text(SMOKE_PALP)
+    src = str(Path(fano3.__file__).resolve().parents[1])
+
+    def classify_to(out):
+        return subprocess.run(
+            [sys.executable, "-m", "fano3.cli", "classify", "db.palp", "--out", out,
+             "--report", report],
+            cwd=tmp_path, capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+
+    assert classify_to("report") == b""
+    assert classify_to("/dev/stdout") == (tmp_path / "report").read_bytes()
 
 
 def _read_only_fd2():
