@@ -28,6 +28,9 @@ from .polytope import convex_hull
 
 
 _CHUNK = 32  # records per task sent to a worker process
+# the largest --mmax: a report holds mmax + 1 Hilbert coefficients, of
+# size O(mmax^3), and every report is kept until the writer runs
+MMAX = 1000
 
 
 class InputError(Exception):
@@ -79,6 +82,8 @@ def _union_size(lists) -> int:
 def _check_mmax(m_max: int) -> None:
     if m_max < 0:
         raise InputError(f"--mmax must be nonnegative, got {m_max}")
+    if m_max > MMAX:
+        raise InputError(f"--mmax must be at most {MMAX}, got {m_max}")
 
 
 def _write_output(path: str, write) -> None:

@@ -172,6 +172,15 @@ class TestClassifyCommand:
         assert main(["inspect", str(db_path), "--id", "4", "--mmax", "-1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --mmax must be nonnegative, got -1"] * 2
+        # past the bound too, and the bound itself is accepted
+        over = str(cli.MMAX + 1)
+        assert main(["classify", str(db_path), "--out", str(out), "--mmax", over]) == 2
+        assert not out.exists()
+        assert main(["inspect", str(db_path), "--id", "4", "--mmax", over]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --mmax must be at most {cli.MMAX}, got {over}"] * 2
+        assert main(["classify", str(db_path), "--out", str(out), "--mmax", str(cli.MMAX)]) == 0
+        assert len(json.loads(out.read_text())[0]["hilbert"]) == cli.MMAX + 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_input_error(self, db_path, tmp_path, capsys, jobs):

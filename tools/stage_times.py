@@ -12,8 +12,9 @@ turn: ``db.parse_palp`` on the text, ``polytope.convex_hull`` on every
 record, ``criteria.classify`` on every hull at the workload's ``m_max``,
 freeing the polytopes, and, on the classify workloads,
 ``db.write_reports``.  It prints the best of the R passes of each stage,
-in milliseconds of process CPU.  Delete this script once the package has
-its own stage timer (ROADMAP item 19).
+in milliseconds of process CPU, with its share of the pass total, and
+then that total: the sum of the stages' bests.  Delete this script once
+the package has its own stage timer (ROADMAP item 19).
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ def stage_times(pkg, workload, seed: int, repeat: int) -> dict[str, float]:
         timed("free polytopes", polys.clear)
         if not workload.lists:
             timed("write_reports", db.write_reports, reports, out)
+    total = sum(best.values())
     print(f"{workload.name} seed {seed}: {len(records)} records, m_max {workload.m_max},"
           f" best of {repeat} passes, ms of process CPU per pass")
     for stage, seconds in best.items():
-        print(f"  {stage:16s} {1e3 * seconds:8.2f}")
+        print(f"  {stage:16s} {1e3 * seconds:8.2f} {100 * seconds / total:5.1f}%")
+    print(f"  {'total':16s} {1e3 * total:8.2f}")
     return best
 
 
