@@ -27,6 +27,7 @@ callers that bind them by name, such as the benchmark's tracer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from math import gcd
 
 from .intlinalg import (
@@ -104,6 +105,7 @@ class ClassificationReport:
       h_0..h_m, the lattice point counts of the polar's dilations.
 
     ``to_dict`` is the report row: one key per field, in declaration order.
+    A new field must also go into ``db._json_report``: the byte tests fail until it does.
     """
 
     polytope_id: int = field(metadata={"key": "id"})
@@ -181,7 +183,8 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     return list(classify(poly, m_max=0).aft_witnesses)
 
 
-def hilbert_from_degree(deg: int, m_max: int) -> list[int]:
+@cache  # reflexive degrees are even and at most 72: a few dozen keys per m_max
+def hilbert_from_degree(deg: int, m_max: int) -> tuple[int, ...]:
     """h_0..h_{m_max} of a reflexive polytope of degree ``deg``.
 
     h_m is the number of lattice points of m times the polar, the dimension
@@ -194,7 +197,7 @@ def hilbert_from_degree(deg: int, m_max: int) -> list[int]:
     The degree is even, so every term is an integer, and no lattice points
     are counted.
     """
-    return [deg * m * (m + 1) * (2 * m + 1) // 12 + 2 * m + 1 for m in range(m_max + 1)]
+    return tuple(deg * m * (m + 1) * (2 * m + 1) // 12 + 2 * m + 1 for m in range(m_max + 1))
 
 
 def classify(
@@ -325,5 +328,5 @@ def classify(
         indec_witnesses=tuple(indec_witnesses),
         aft_witnesses=tuple(aft_witnesses),
         degree=deg,
-        hilbert=tuple(hilbert_from_degree(deg, m_max)),
+        hilbert=hilbert_from_degree(deg, m_max),
     )

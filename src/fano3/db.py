@@ -7,9 +7,6 @@ integers r and c followed by an r x c integer matrix; one of r, c must be 3
 and the vertices are the columns when r = 3, the rows when c = 3.  The JSON
 format is an array of objects ``{"id": int, "vertices": [[x, y, z], ...]}``.
 
-``write_reports`` renders the JSON report from the report fields: given an
-indent, ``json`` would run its pure-Python encoder, with a file write per token.
-
 IDs identify polytopes in an external numbering (for the classified
 reflexive 3-polytopes, the Graded Ring Database order).  They are treated as
 opaque input: PALP blocks are numbered 1, 2, ... in file order unless a
@@ -23,10 +20,9 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from importlib import resources
-from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
-from .criteria import _REPORT_KEYS, ClassificationReport
-from .polygon import PolygonClass
+from .criteria import ClassificationReport
 from .polytope import frozen_builder
 
 
@@ -243,7 +239,6 @@ CSV_COLUMNS = tuple(
     f.metadata.get("key", f.name)
     for f in sorted(fields(ClassificationReport), key=lambda f: f.type.startswith("tuple"))
 )
-_JSON_FIELDS = tuple((f"  {encode_basestring_ascii(k)}: ", name) for k, name in _REPORT_KEYS)
 
 
 def _csv_cell(value) -> str:
@@ -259,26 +254,33 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_value(value, pad: str = "  ") -> str:
-    """``value`` as ``json.dumps(..., indent=1)`` writes it after ``pad``."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is tuple:  # of ints, of facet classes (by label) or of int pairs
-        if not value:
-            return "[]"
-        inner, first = pad + " ", type(value[0])
-        items = (
-            map(int.__repr__, value) if first is int
-            else [c._json_label for c in value] if first is PolygonClass
-            else [_json_value(item, inner) for item in value]
-        )
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if kind is bool:
-        return "true" if value is True else "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"report value of type {kind.__name__} is not JSON")
+# the line breaks of _json_report: f-string braces refuse a backslash before Python 3.12
+_JSON = {True: "true", False: "false", None: "null"}
+_OPEN, _ITEM, _CLOSE, _PAIR = "[\n   ", ",\n   ", "\n  ]", "[\n    %d,\n    %d\n   ]"
+_LABEL = attrgetter("_json_label")  # a facet class's, encoded once per class
+
+
+def _json_list(values: tuple, render=int.__repr__) -> str:
+    return _OPEN + _ITEM.join(map(render, values)) + _CLOSE if values else "[]"
+
+
+def _json_report(rep: ClassificationReport) -> str:
+    """``rep``'s row between its braces, as ``json.dumps(rows, indent=1)`` writes it."""
+    j = _JSON
+    return (
+        f'  "id": {int.__repr__(rep.polytope_id)},\n  "reflexive": {j[rep.reflexive]},\n'
+        f'  "facet_classes": {_json_list(rep.facet_classes, _LABEL)},\n'
+        f'  "smooth": {j[rep.smooth]},\n  "isolated_singular": {j[rep.isolated_singular]},\n'
+        f'  "nodes": {j[rep.nodes]},\n  "totaro_rigid": {j[rep.totaro_rigid]},\n'
+        f'  "rigid_face_obstruction": {j[rep.rigid_face_obstruction]},\n'
+        f'  "indec_obstruction": {j[rep.indec_obstruction]},\n'
+        f'  "aft_obstruction": {j[rep.aft_obstruction]},\n  "low_degree": {j[rep.low_degree]},\n'
+        f'  "rigid_face_witnesses": {_json_list(rep.rigid_face_witnesses)},\n'
+        f'  "indec_witnesses": {_json_list(rep.indec_witnesses)},\n'
+        f'  "aft_witnesses": {_json_list(rep.aft_witnesses, _PAIR.__mod__)},\n'
+        f'  "degree": {"null" if rep.degree is None else int.__repr__(rep.degree)},\n'
+        f'  "hilbert": {"null" if rep.hilbert is None else _json_list(rep.hilbert)}'
+    )
 
 
 def write_reports(reports, path, format: str = "json") -> None:
@@ -290,7 +292,7 @@ def write_reports(reports, path, format: str = "json") -> None:
         with open(path, "w") as fh:
             sep = "[\n {\n"
             for rep in reports:
-                fh.write(sep + ",\n".join(k + _json_value(getattr(rep, n)) for k, n in _JSON_FIELDS))
+                fh.write(sep + _json_report(rep))
                 sep = "\n },\n {\n"
             fh.write("\n }\n]\n" if reports else "[]\n")
     elif format == "csv":

@@ -29,6 +29,7 @@ from conftest import (
     apply_matrix,
     large_shear,
 )
+from fano3.cli import MMAX
 from fano3.criteria import (
     classify,
     criterion_aft,
@@ -454,6 +455,20 @@ class TestClassify:
         assert rep.degree is None
         assert rep.hilbert is None
         assert isinstance(rep.totaro_rigid, bool)
+
+    def test_hilbert_cache_is_keyed_on_degree_and_mmax(self):
+        # the coefficients are cached per (degree, m_max): a call at another
+        # m_max between two at 5 must not hand either a stale tuple
+        poly = hull(PYRAMID)
+        hilberts = []
+        for m_max in (5, 0, MMAX, 5):
+            h = classify(poly, m_max=m_max).hilbert
+            assert len(h) == m_max + 1 and h[0] == 1, m_max
+            # h_m is a cubic in m whose third difference is the degree
+            for m in range(3, len(h)):
+                assert h[m] - 3 * h[m - 1] + 3 * h[m - 2] - h[m - 3] == 56, (m_max, m)
+            hilberts.append(h)
+        assert hilberts[0] == hilberts[3]
 
     def test_non_fano_rejected(self):
         poly = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
     large_shear,
 )
 from fano3 import db
-from fano3.criteria import classify
+from fano3.criteria import ClassificationReport, classify
 from fano3.polytope import convex_hull
 
 PYRAMID_PALP = """3 6
@@ -350,8 +351,48 @@ def test_json_report_needs_no_json_encoder(tmp_path, monkeypatch):
     assert path.read_bytes() == (GOLDEN / "golden_report.json").read_bytes()
 
 
+def _pool_reports(reflexive_pool):
+    rng = random.Random(0x4EF)
+    inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
+    return [
+        classify(convex_hull(pts), polytope_id=i, m_max=5)
+        for i, pts in zip(rng.sample(range(10**6), len(inputs)), inputs)
+    ]
+
+
+def _fixture_reports():
+    inputs = list(NAMED_FANO.values()) + [NOT_REFLEXIVE]
+    return [
+        classify(convex_hull(pts), polytope_id=i, m_max=3)
+        for i, pts in enumerate(inputs, start=1)
+    ]
+
+
+def _sidecar_reports(tmp_path):
+    palp, sidecar = tmp_path / "db.palp", tmp_path / "ids.json"
+    palp.write_text(PYRAMID_PALP + ROWWISE_PALP + ROWWISE_PALP)
+    sidecar.write_text(json.dumps([2**64 + 3, -7, 2**63]))
+    return [
+        classify(convex_hull(rec.vertices), polytope_id=rec.id)
+        for rec in db.read_records(str(palp), str(sidecar))
+    ]
+
+
+# the two tuples that classify never leaves empty, the facet classes and the
+# Hilbert coefficients, empty: the dataclass admits it, so the writer must too
+HAND_BUILT = ClassificationReport(
+    polytope_id=-(2**80), reflexive=False, facet_classes=(), totaro_rigid=False,
+    rigid_face_obstruction=False, rigid_face_witnesses=(), hilbert=(),
+)
+
+
 class TestJsonReportBytes:
-    """The JSON report is the bytes json.dumps writes for the sorted rows."""
+    """The JSON report is the bytes json.dumps writes for the sorted rows.
+
+    The reports checked below reach every branch of the writer, as
+    ``test_checked_reports_reach_every_branch`` asserts, so a change to the
+    pool or the fixtures cannot drop one from the comparison unseen.
+    """
 
     @staticmethod
     def assert_dumps_bytes(reports, path):
@@ -360,20 +401,10 @@ class TestJsonReportBytes:
         assert path.read_text() == json.dumps(rows, indent=1) + "\n"
 
     def test_pool_and_moves(self, reflexive_pool, tmp_path):
-        rng = random.Random(0x4EF)
-        inputs = reflexive_pool + [apply_matrix(large_shear(rng), pts) for pts in reflexive_pool]
-        reports = [
-            classify(convex_hull(pts), polytope_id=i, m_max=5)
-            for i, pts in zip(rng.sample(range(10**6), len(inputs)), inputs)
-        ]
-        self.assert_dumps_bytes(reports, tmp_path / "r.json")
+        self.assert_dumps_bytes(_pool_reports(reflexive_pool), tmp_path / "r.json")
 
     def test_fixtures_with_none_fields(self, tmp_path):
-        inputs = list(NAMED_FANO.values()) + [NOT_REFLEXIVE]
-        reports = [
-            classify(convex_hull(pts), polytope_id=i, m_max=3)
-            for i, pts in enumerate(inputs, start=1)
-        ]
+        reports = _fixture_reports()
         assert reports[-1].degree is None and reports[-1].hilbert is None
         self.assert_dumps_bytes(reports, tmp_path / "r.json")
 
@@ -383,14 +414,27 @@ class TestJsonReportBytes:
         self.assert_dumps_bytes([report], tmp_path / "r.json")
 
     def test_sidecar_ids_beyond_int64(self, tmp_path):
-        palp, sidecar = tmp_path / "db.palp", tmp_path / "ids.json"
-        palp.write_text(PYRAMID_PALP + ROWWISE_PALP + ROWWISE_PALP)
-        sidecar.write_text(json.dumps([2**64 + 3, -7, 2**63]))
+        self.assert_dumps_bytes(_sidecar_reports(tmp_path), tmp_path / "r.json")
+
+    def test_empty_tuples_classify_never_makes(self, tmp_path):
+        self.assert_dumps_bytes([HAND_BUILT], tmp_path / "r.json")
+
+    def test_checked_reports_reach_every_branch(self, reflexive_pool, tmp_path):
         reports = [
-            classify(convex_hull(rec.vertices), polytope_id=rec.id)
-            for rec in db.read_records(str(palp), str(sidecar))
+            *_pool_reports(reflexive_pool), *_fixture_reports(), *_sidecar_reports(tmp_path),
+            HAND_BUILT,
         ]
-        self.assert_dumps_bytes(reports, tmp_path / "r.json")
+        for f in fields(ClassificationReport):
+            values = [getattr(rep, f.name) for rep in reports]
+            if f.type.startswith("tuple"):  # the Hilbert tuple may be None too
+                assert () in values and any(values), f.name
+            elif f.type.startswith("bool"):
+                kinds = {True, False, None} if "None" in f.type else {True, False}
+                assert set(values) == kinds, f.name
+        for name in ("degree", "hilbert"):
+            values = [getattr(rep, name) for rep in reports]
+            assert None in values and any(v is not None for v in values), name
+        assert any(abs(rep.polytope_id) >= 2**63 for rep in reports)
 
     def test_no_reports(self, tmp_path):
         self.assert_dumps_bytes([], tmp_path / "r.json")

@@ -7,13 +7,18 @@ short, or a line or a slice of it repeated.  The tokens are digits, signs,
 "_", an Arabic-Indic digit, byte-order marks, NUL, "\\r", "\\x0b", "\\x85",
 spaces, line ends, and runs of 4000 and 5000 digits.  For every text,
 ``db.parse_palp`` and ``oracles.read_palp`` must both reject it or both
-return the same ids and vertices.  ``fano3 lists`` on every eighth text, as
-a file, must exit 0 or 2, with one ``error:`` line and no traceback on 2,
-and 0 only when the oracle accepts the text as a file reads it.
+return the same ids and vertices.  ``fano3 lists`` and ``fano3 classify``
+on every eighth text, as a file, must exit 0 or 2, with one ``error:`` line
+and no traceback on 2, and 0 only when the oracle accepts the text as a file
+reads it.  On 0 the report holds the oracle's ids, and its bytes are what
+``json.dumps`` writes at indent 1 for the rows of the reports classified in
+process; 2 then means that one of those records fails the hull or
+``classify``.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -21,13 +26,15 @@ import oracles
 from conftest import AFT_FIXTURE, OCTAHEDRON, PYRAMID, TETRAHEDRON, apply_matrix, large_shear
 from fano3 import db
 from fano3.cli import main
+from fano3.criteria import classify
+from fano3.polytope import convex_hull
 
 TOKENS = (
     "0", "1", "7", "-", "+", "_", "\u0661", "\ufeff", "\x00", "\r", "\x0b", "\x85",
     " ", "\n", "7" * 4000, "7" * 5000,
 )
 CASES = 2000
-CLI_EVERY = 8  # the command line runs on every eighth text: about 1.3 ms each
+CLI_EVERY = 8  # the command line runs on every eighth text: a few ms each
 
 
 def _block(rng: random.Random, vertices) -> str:
@@ -94,9 +101,24 @@ def _file_text(text: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
+def _report_text(records) -> str | None:
+    """The JSON report of the oracle's records, classified in process; None
+    when a record fails the hull or ``classify``, as the command line does."""
+    try:
+        reports = [classify(convex_hull(v), polytope_id=i) for i, v in sorted(records)]
+    except (ValueError, AssertionError):
+        return None
+    return json.dumps([rep.to_dict() for rep in reports], indent=1) + "\n"
+
+
+def _assert_one_error_line(out: str, err: str, case: int) -> None:
+    assert out == "" and err.startswith("error: "), case
+    assert err.count("\n") == 1 and "Traceback" not in err, case
+
+
 def test_parse_palp_agrees_with_the_oracle(tmp_path, capsys):
-    path = tmp_path / "db.palp"
-    seen = set()
+    path, report = tmp_path / "db.palp", tmp_path / "report.json"
+    seen, outcomes = set(), set()
     for case, text in enumerate(_cases(random.Random(0xF022))):
         expected = oracles.read_palp(text)
         try:
@@ -114,14 +136,29 @@ def test_parse_palp_agrees_with_the_oracle(tmp_path, capsys):
             continue
         # the same text as a file, through the command line
         path.write_bytes(text.encode())
+        records = oracles.read_palp(_file_text(text))
         code = main(["lists", str(path)])
         out, err = capsys.readouterr()
         assert code in (0, 2), case
         if code == 2:
-            assert out == "" and err.startswith("error: "), case
-            assert err.count("\n") == 1 and "Traceback" not in err, case
+            _assert_one_error_line(out, err, case)
         else:
-            assert err == "" and oracles.read_palp(_file_text(text)) is not None, case
+            assert err == "" and records is not None, case
+        # and the full report
+        want = None if records is None else _report_text(records)
+        outcomes.add("rejected" if records is None else "failed" if want is None else "written")
+        code = main(["classify", str(path), "--out", str(report)])
+        out, err = capsys.readouterr()
+        assert code == (2 if want is None else 0), case
+        if code == 2:
+            _assert_one_error_line(out, err, case)
+        else:
+            got = report.read_text()
+            assert [row["id"] for row in json.loads(got)] == sorted(i for i, _ in records), case
+            assert out == err == "" and got == want, case
+    # the report slice met a text the oracle rejects, one whose record fails
+    # the hull or classify, and one that gives a report
+    assert outcomes == {"rejected", "failed", "written"}
     # each token class reached a rejected text, and each that a valid text
     # may hold reached an accepted one
     for kind in ("\r", "\x0b", "\x85", "mid-file bom", "4000 digits", "_", "\u0661", "\x00"):

@@ -112,6 +112,16 @@ cmp c1.json c2.json
 # the report is laid out as this Python's json module lays it out
 # with indent=1
 python3 -m json.tool --indent 1 c1.json | cmp - c1.json
+# and so is a report with an AFT pair (id 1) and two non-reflexive
+# polytopes (ids 2, 3), whose reflexive-only fields and Hilbert
+# coefficients are null: together they meet every branch of the writer
+printf '5 3\n1 1 0\n-1 1 0\n0 1 1\n0 0 -1\n0 -1 0\n' > branches.palp
+printf '4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -2\n' >> branches.palp
+printf '4 3\n-1 1 -1\n-2 -1 -2\n0 2 1\n1 -2 0\n' >> branches.palp
+$FANO3 classify branches.palp --out branches.json
+python3 -m json.tool --indent 1 branches.json | cmp - branches.json
+grep -q '^  "aft_witnesses": \[$' branches.json
+grep -q '^  "hilbert": null$' branches.json
 # record 35 a flat square: the error raised in a worker process is
 # one "error: polytope" line, with exit 2 and no traceback
 { for i in $(seq 17); do cat smoke.palp; done
