@@ -2,14 +2,14 @@
 
 The commands are batch oriented: they read a polytope database, run the
 classification and write static reports.  Output ordering is by polytope id,
-so results are bit-identical across runs and across worker counts.
+so results are bit-identical across runs.
 
 Exit codes: 0 on success (and on a clean verify match), 1 when verify finds
 a mismatch, 2 on input errors and on a failed guard of the hull, 141, with
 nothing printed, when stdout (or ``--out``) is a pipe that its reader
-closed.  ``main`` is the one error boundary: it prints such an error, also
-one raised in a worker process, as one ``error: `` line (``polytope N:
-hull: ...`` for a guard), and returns 2 even when stderr is closed.
+closed.  ``main`` is the one error boundary: it prints such an error as
+one ``error: `` line (``polytope N: hull: ...`` for a guard), and returns 2
+even when stderr is closed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .polygon import facet_to_polygon, maximal_decompositions
 from .polytope import convex_hull
 
 
-_CHUNK = 32  # records per task sent to a worker process
 # the largest --mmax: a report holds mmax + 1 Hilbert coefficients, of
 # size O(mmax^3), and every report is kept until the writer runs
 MMAX = 1000
@@ -48,23 +47,11 @@ def _hull_and_classify(record, m_max: int):
         raise InputError(f"polytope {record.id}: hull: {exc}") from exc
 
 
-def _classify_record(task) -> ClassificationReport:
-    return _hull_and_classify(*task)[1]
-
-
 def _classify_all(records, jobs: int, m_max: int) -> list[ClassificationReport]:
-    """The reports in record order; the writers order them by id."""
+    """The reports in record order, made in this process; ``jobs`` is only checked."""
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
-    tasks = [(rec, m_max) for rec in records]
-    # a fork pool starts all its workers at once: no more than chunks or CPUs
-    workers = min(jobs, -(-len(tasks) // _CHUNK), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_classify_record, tasks, chunksize=_CHUNK))
-    return [_classify_record(t) for t in tasks]
+    return [_hull_and_classify(rec, m_max)[1] for rec in records]
 
 
 def _computed_lists(reports) -> dict[str, list[int]]:
@@ -184,6 +171,9 @@ def cmd_inspect(args) -> int:
         cls = report.facet_classes[fi]
         print(f"  facet {fi}: {cls.label()}  normal {facet.normal} height {facet.height}")
         print(f"    cycle: {[poly.vertices[i] for i in facet.vertex_indices]}")
+        if facet.area2 > 72:  # no reflexive facet is larger; the search grows with its edges
+            print(f"    maximal decompositions not listed: area2 {facet.area2} > 72")
+            continue
         decs = maximal_decompositions(facet_to_polygon(poly, fi))
         for di, dec in enumerate(decs):
             parts = [list(s.vertices) for s in dec.summands]
@@ -199,7 +189,7 @@ def _common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
         "--sidecar", default=None, help="JSON id sidecar for palp input"
     )
     if jobs:
-        parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+        parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
 
 @functools.cache  # once per process: parse_args keeps no state in the parser

@@ -27,7 +27,7 @@ callers that bind them by name, such as the benchmark's tracer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import lru_cache
 from math import gcd
 
 from .intlinalg import (
@@ -183,7 +183,7 @@ def criterion_aft(poly: LatticePolytope) -> list[tuple[int, int]]:
     return list(classify(poly, m_max=0).aft_witnesses)
 
 
-@cache  # reflexive degrees are even and at most 72: a few dozen keys per m_max
+@lru_cache(maxsize=36)  # the even degrees up to 72: one m_max fits, a scan of m_max does not
 def hilbert_from_degree(deg: int, m_max: int) -> tuple[int, ...]:
     """h_0..h_{m_max} of a reflexive polytope of degree ``deg``.
 

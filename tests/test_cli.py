@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -45,39 +44,6 @@ def db_path(tmp_path):
     return path
 
 
-@pytest.fixture()
-def pool_workers(monkeypatch):
-    """The max_workers of each process pool the CLI asks for; none is started."""
-    workers = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return workers
-
-
-def repeated_db(tmp_path, count: int) -> Path:
-    """The fixtures repeated under ids 1..count."""
-    rows = [
-        {"id": i, "vertices": FIXTURE_DB[(i - 1) % len(FIXTURE_DB)]["vertices"]}
-        for i in range(1, count + 1)
-    ]
-    path = tmp_path / f"fixtures-{count}.json"
-    path.write_text(json.dumps(rows))
-    return path
-
-
 class TestClassifyCommand:
     def test_json_report(self, db_path, tmp_path):
         out = tmp_path / "report.json"
@@ -93,45 +59,22 @@ class TestClassifyCommand:
         assert main(["classify", str(db_path), "--out", str(out), "--report", "csv"]) == 0
         assert len(out.read_text().splitlines()) == 8
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        # more records than one chunk of 32, so --jobs 2 runs a real pool
-        path = repeated_db(tmp_path, 70)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["classify", str(path), "--out", str(a)]) == 0
-        assert main(["classify", str(path), "--out", str(b), "--jobs", "2"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert [row["id"] for row in json.loads(a.read_text())] == list(range(1, 71))
-
-    @pytest.mark.parametrize(
-        "records, jobs, started", [(10, 64, []), (70, 2, [2]), (70, 64, [3])]
-    )
-    def test_pool_workers_capped_at_chunks(
-        self, tmp_path, monkeypatch, pool_workers, records, jobs, started
-    ):
-        # a fork pool starts all its workers at once, so it gets at most one
-        # per chunk of 32 records, and a single chunk runs inline; there are
-        # more CPUs than any case asks for
-        monkeypatch.setattr(os, "cpu_count", lambda: 128)
-        path = repeated_db(tmp_path, records)
-        out = tmp_path / "lists.json"
-        assert main(["lists", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
-        assert pool_workers == started
-        assert json.loads(out.read_text())["L_smooth"][:2] == [1, 2]
-
-    @pytest.mark.parametrize(
-        "jobs, cpus, started", [(10000, 4, [4]), (3, 4, [3]), (10000, 1, []), (10000, None, [])]
-    )
-    def test_pool_workers_capped_at_cpus(
-        self, tmp_path, monkeypatch, pool_workers, jobs, cpus, started
-    ):
-        # 320 records are ten chunks: the CPU count caps the pool below that,
-        # and one CPU, or an unknown count (None), runs inline
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        path = repeated_db(tmp_path, 320)
-        out = tmp_path / "lists.json"
-        assert main(["lists", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
-        assert pool_workers == started
-        assert json.loads(out.read_text())["L_smooth"][:4] == [1, 2, 8, 9]
+    def test_jobs_do_not_change_output(self, db_path, tmp_path, capsys):
+        # --jobs is accepted and ignored: any count writes the default's bytes
+        lists, report = tmp_path / "lists.json", tmp_path / "report.json"
+        assert main(["lists", str(db_path), "--out", str(lists)]) == 0
+        for argv in (
+            ["classify", str(db_path), "--out", str(report)],
+            ["lists", str(db_path)],
+            ["verify", str(db_path), "--expected", str(lists)],
+        ):
+            runs = []
+            for jobs in ([], ["--jobs", "2"], ["--jobs", "64"]):
+                report.unlink(missing_ok=True)
+                assert main(argv + jobs) == 0, argv
+                out = capsys.readouterr().out
+                runs.append(report.read_text() if argv[0] == "classify" else out)
+            assert runs[0] == runs[1] == runs[2] != "", argv
 
     def test_palp_input(self, tmp_path):
         palp = tmp_path / "db.txt"
@@ -229,14 +172,14 @@ class TestClassifyCommand:
         ]
 
     @pytest.mark.parametrize("command", ["lists", "classify"])
-    def test_error_in_process_pool_is_input_error(self, tmp_path, capsys, command):
-        # 40 records are two chunks of 32, so --jobs 2 runs a real pool, and
-        # record 35, a flat square, fails in the second worker's chunk
+    def test_bad_record_late_in_a_batch_is_input_error(self, tmp_path, capsys, command):
+        # record 35 of 40, a flat square, fails after 34 good ones: its id,
+        # one error line, and no output file from the records before it
         simplex = SMOKE_PALP[SMOKE_PALP.index("4 3"):]
         palp = tmp_path / "bad40.palp"
         palp.write_text(SMOKE_PALP * 17 + FLAT_PALP + simplex + SMOKE_PALP * 2)
         out = tmp_path / "out.json"
-        assert main([command, str(palp), "--out", str(out), "--jobs", "2"]) == 2
+        assert main([command, str(palp), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
@@ -746,6 +689,19 @@ class TestInspectCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
+    def test_large_facet_lists_no_decompositions(self, tmp_path, capsys):
+        # an edge of lattice length 10^100 would take the decomposition
+        # search 10^100 steps: facets above area2 72, the largest of any
+        # reflexive facet, print one line instead; the simplex is Fano
+        path = tmp_path / "long.json"
+        vertices = [[10**100, 1, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+        path.write_text(json.dumps([{"id": 1, "vertices": vertices}]))
+        assert main(["inspect", str(path), "--id", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("polytope 1\n") and "reflexive: false" in out
+        skipped = [line for line in out.splitlines() if "not listed" in line]
+        assert len(skipped) == 2 and all(line.endswith(" > 72") for line in skipped)
+
     def test_output_matches_golden(self, tmp_path, capsys):
         # fixed bytes: they pin the hull's vertex order, each facet cycle and
         # where it starts, the polygons, decompositions and lifted rays
@@ -769,7 +725,7 @@ def test_startup_imports_no_numpy():
 
 
 def test_startup_imports_no_process_pool():
-    # the pool is imported only when a run has more than one chunk to share
+    # every command classifies in its own process: no pool is imported
     src = str(Path(fano3.__file__).resolve().parents[1])
     code = "import sys, fano3.cli; sys.exit('concurrent.futures.process' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)

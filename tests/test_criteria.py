@@ -470,6 +470,28 @@ class TestClassify:
             hilberts.append(h)
         assert hilberts[0] == hilberts[3]
 
+    def test_hilbert_cache_is_bounded(self):
+        # the library takes any m_max: a scan over it keeps only the bound
+        cached = fano3.criteria.hilbert_from_degree
+        bound = cached.cache_parameters()["maxsize"]
+        assert bound >= len(range(2, 73, 2))  # every even degree up to 72
+        for m_max in range(200):
+            assert len(cached(56, m_max)) == m_max + 1
+        assert cached.cache_info().currsize == bound
+
+    def test_hilbert_cache_keeps_a_batch_at_one_mmax(self, reflexive_pool):
+        # a second pass at one m_max finds every degree still cached
+        cached = fano3.criteria.hilbert_from_degree
+        polys = [hull(pts) for pts in reflexive_pool] + [hull(PYRAMID)]
+        cached.cache_clear()
+        for poly in polys:
+            classify(poly, m_max=7)
+        misses = cached.cache_info().misses
+        assert misses > 1
+        for poly in polys:
+            classify(poly, m_max=7)
+        assert cached.cache_info().misses == misses
+
     def test_non_fano_rejected(self):
         poly = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
         with pytest.raises(ValueError):

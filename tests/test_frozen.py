@@ -78,7 +78,7 @@ def test_replace_and_pickle(value):
     other = replace(value, **{first.name: None})
     assert type(other) is type(value) and getattr(other, first.name) is None
     assert other != value
-    # the --jobs process pool sends reports between processes by pickle
+    # a caller's own process pool sends values between processes by pickle
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is type(value)
     assert back == value and hash(back) == hash(value) and repr(back) == repr(value)

@@ -7,13 +7,15 @@ short, or a line or a slice of it repeated.  The tokens are digits, signs,
 "_", an Arabic-Indic digit, byte-order marks, NUL, "\\r", "\\x0b", "\\x85",
 spaces, line ends, and runs of 4000 and 5000 digits.  For every text,
 ``db.parse_palp`` and ``oracles.read_palp`` must both reject it or both
-return the same ids and vertices.  ``fano3 lists`` and ``fano3 classify``
-on every eighth text, as a file, must exit 0 or 2, with one ``error:`` line
-and no traceback on 2, and 0 only when the oracle accepts the text as a file
-reads it.  On 0 the report holds the oracle's ids, and its bytes are what
+return the same ids and vertices.  ``fano3 lists``, ``classify``, ``verify``
+and ``inspect`` on every eighth text, as a file, must exit 0 (or 1 for a
+``verify`` mismatch) or 2, with one ``error:`` line and no traceback on 2,
+and 2 exactly when the oracle rejects the text as a file reads it or a
+record that the command classifies fails the hull or ``classify`` in
+process.  On 0 the report holds the oracle's ids, and its bytes are what
 ``json.dumps`` writes at indent 1 for the rows of the reports classified in
-process; 2 then means that one of those records fails the hull or
-``classify``.
+process; ``verify`` matches the lists of those reports, and finds an id
+moved from one list to another; ``inspect`` shows the oracle's first id.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ TOKENS = (
     " ", "\n", "7" * 4000, "7" * 5000,
 )
 CASES = 2000
+# each list with the report verdict that puts a polytope in it (README)
+LISTS = {"L_smooth": "smooth", "L_isol": "isolated_singular", "L_nodes": "nodes",
+         "L_low": "low_degree", "L_indec": "indec_obstruction", "L_aft": "aft_obstruction"}
 CLI_EVERY = 8  # the command line runs on every eighth text: a few ms each
 
 
@@ -101,19 +106,51 @@ def _file_text(text: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-def _report_text(records) -> str | None:
-    """The JSON report of the oracle's records, classified in process; None
-    when a record fails the hull or ``classify``, as the command line does."""
-    try:
-        reports = [classify(convex_hull(v), polytope_id=i) for i, v in sorted(records)]
-    except (ValueError, AssertionError):
-        return None
-    return json.dumps([rep.to_dict() for rep in reports], indent=1) + "\n"
+def _reports(records) -> dict:
+    """Each record's report, classified in process; None for a record that
+    fails the hull or ``classify``, which the command line rejects."""
+    reports = {}
+    for i, vertices in records:
+        try:
+            reports[i] = classify(convex_hull(vertices), polytope_id=i)
+        except (ValueError, AssertionError):
+            reports[i] = None
+    return reports
 
 
 def _assert_one_error_line(out: str, err: str, case: int) -> None:
     assert out == "" and err.startswith("error: "), case
     assert err.count("\n") == 1 and "Traceback" not in err, case
+
+
+def _check_verify(path, expected, reports, failed, capsys, case) -> bool:
+    """``fano3 verify`` against the lists of the reports classified in
+    process: a match, then one id moved to a list that lacks it.  True when
+    the mismatch ran."""
+    lists = {name: sorted(i for i, rep in reports.items() if rep and getattr(rep, verdict))
+             for name, verdict in LISTS.items()}
+    expected.write_text(json.dumps(lists))
+    code = main(["verify", str(path), "--expected", str(expected)])
+    out, err = capsys.readouterr()
+    assert code == (2 if failed else 0), case
+    if code == 2:
+        _assert_one_error_line(out, err, case)
+        return False
+    assert err == "" and out.endswith("\nall lists match\n"), case
+    held = [name for name, ids in lists.items() if ids]
+    if not held:
+        return False
+    moved = lists[held[0]][0]
+    to = next(name for name, ids in lists.items() if moved not in ids)
+    n, m = len(lists[held[0]]), len(lists[to])
+    wrong = dict(lists, **{held[0]: lists[held[0]][1:], to: sorted(lists[to] + [moved])})
+    expected.write_text(json.dumps(wrong))
+    assert main(["verify", str(path), "--expected", str(expected)]) == 1, case
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nMISMATCH\n"), case
+    assert f"{held[0]}: computed {n}, expected {n - 1}\n  extra:   [{moved}]\n" in out, case
+    assert f"{to}: computed {m}, expected {m + 1}\n  missing: [{moved}]\n" in out, case
+    return True
 
 
 def test_parse_palp_agrees_with_the_oracle(tmp_path, capsys):
@@ -145,20 +182,36 @@ def test_parse_palp_agrees_with_the_oracle(tmp_path, capsys):
         else:
             assert err == "" and records is not None, case
         # and the full report
-        want = None if records is None else _report_text(records)
-        outcomes.add("rejected" if records is None else "failed" if want is None else "written")
+        reports = {} if records is None else _reports(records)
+        failed = records is None or None in reports.values()
+        outcomes.add("rejected" if records is None else "failed" if failed else "written")
         code = main(["classify", str(path), "--out", str(report)])
         out, err = capsys.readouterr()
-        assert code == (2 if want is None else 0), case
+        assert code == (2 if failed else 0), case
         if code == 2:
             _assert_one_error_line(out, err, case)
         else:
             got = report.read_text()
-            assert [row["id"] for row in json.loads(got)] == sorted(i for i, _ in records), case
-            assert out == err == "" and got == want, case
-    # the report slice met a text the oracle rejects, one whose record fails
-    # the hull or classify, and one that gives a report
-    assert outcomes == {"rejected", "failed", "written"}
+            assert [row["id"] for row in json.loads(got)] == sorted(reports), case
+            rows = [rep.to_dict() for _, rep in sorted(reports.items())]
+            assert out == err == "" and got == json.dumps(rows, indent=1) + "\n", case
+        if _check_verify(path, tmp_path / "expected.json", reports, failed, capsys, case):
+            outcomes.add("mismatch")
+        # inspect classifies only the record that it shows; with none, id 1
+        # is unknown
+        first = records[0][0] if records else 1
+        code = main(["inspect", str(path), "--id", str(first)])
+        out, err = capsys.readouterr()
+        assert code == (0 if reports.get(first) else 2), case
+        if code == 2:
+            _assert_one_error_line(out, err, case)
+        else:
+            assert err == "" and out.startswith(f"polytope {first}\n"), case
+            outcomes.add("inspected")
+    # the command slice met a text the oracle rejects, one whose record fails
+    # the hull or classify, one that gives a report, an inspected record and
+    # a verify mismatch
+    assert outcomes == {"rejected", "failed", "written", "inspected", "mismatch"}
     # each token class reached a rejected text, and each that a valid text
     # may hold reached an accepted one
     for kind in ("\r", "\x0b", "\x85", "mid-file bom", "4000 digits", "_", "\u0661", "\x00"):

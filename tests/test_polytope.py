@@ -192,7 +192,7 @@ class TestConvexHull:
         # {-2, 2}^3 with points inside, inside a facet and inside an edge),
         # and the octahedron for contrast; each against the oracles, its edges
         # and facet pairs against the steps of its cycles, and through a
-        # pickle round trip, as ``--jobs`` sends polytopes between processes
+        # pickle round trip, as a caller's own process pool sends polytopes
         decagon = ((0, 0), (1, 0), (3, 1), (4, 2), (5, 4), (5, 5), (4, 5), (2, 4), (1, 3), (0, 1))
         prism = [(x, y, z) for x, y in decagon for z in (0, 1)]
         bipyramid = [(x, y, 0) for x, y in decagon] + [(2, 2, 1), (3, 3, -1)]
